@@ -2,8 +2,8 @@
 level, and benchmark solver convergence.
 
 Exit codes: 0 on success, 2 when a solve finished without reaching the
-stopping tolerance (results are still written), 1 on data or file errors,
-2 on usage errors (argparse convention).
+stopping tolerance (results are still written), 1 on data or file errors
+and on a diverged solve, 2 on usage errors (argparse convention).
 """
 
 from __future__ import annotations
@@ -19,14 +19,10 @@ from .data import DataFormatError, load_standardize_stats, save_standardize_stat
 from .evaluate import evaluate_model
 from .linop import operator_norm
 from .model import BlockStructure, RegularizerSpec
-from .persist import PersistedModel, encode_groups, load_model, save_model
-from .solvers import CONSTRAINED_SOLVERS, SOLVERS, SolverConfig
+from .persist import PersistedModel, _fmt, encode_groups, load_model, save_model
+from .solvers import CONSTRAINED_SOLVERS, SOLVERS, DivergenceError, SolverConfig
 
 DEFAULT_ALPHAS = "0.001,0.01,0.1,1,10,100,1000"
-
-
-def _fmt(v):
-    return format(float(v), ".17g")
 
 
 def _load_dataset(path, fmt):
@@ -35,22 +31,26 @@ def _load_dataset(path, fmt):
     return datamod.load_sparse_svmlight(path)
 
 
-def _parse_blocks(arg, n_features, mode):
-    """`--blocks` value: a group size (contiguous runs) or a file with one
-    group of 1-based feature indices per line."""
+def _block_size(arg):
+    """`--blocks` as a contiguous group size, or None when it names a file."""
     try:
-        size = int(arg)
+        return int(arg)
     except ValueError:
-        groups = []
-        with open(arg) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    groups.append(np.array([int(t) - 1 for t in line.split()]))
-        blocks = BlockStructure(tuple(groups), mode=mode)
-        blocks.validate(n_features)
-        return blocks
-    return BlockStructure.contiguous(n_features, size, mode=mode)
+        return None
+
+
+def _parse_blocks(arg, n_features, mode):
+    """Groups from `--blocks`: contiguous runs of its size, or one group of
+    1-based feature indices per line of the file it names."""
+    size = _block_size(arg)
+    if size is not None:
+        return BlockStructure.contiguous(n_features, size, mode=mode)
+    with open(arg) as fh:
+        groups = [np.array([int(t) - 1 for t in line.split()])
+                  for line in fh if line.strip()]
+    blocks = BlockStructure(tuple(groups), mode=mode)
+    blocks.validate(n_features)
+    return blocks
 
 
 def _build_spec(args, n_features):
@@ -98,9 +98,8 @@ def cmd_train(args):
 
     block_size = groups_text = None
     if spec.needs_blocks:
-        if args.blocks.isdigit():
-            block_size = int(args.blocks)
-        else:
+        block_size = _block_size(args.blocks)
+        if block_size is None:
             groups_text = encode_groups(spec.blocks)
     pm = PersistedModel(
         model=report.model, reg_kind=args.reg,
@@ -327,7 +326,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, OSError, ValueError) as exc:
+    except (DataFormatError, DivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .linop import apply_T
+from .linop import _apply_T_aug
 from .model import Dataset, ModelVector, RegularizerSpec, make_margin_offsets
-from .prox import regularizer_value
+from .prox import _group_row_batches, regularizer_value
 
 NONZERO_THRESHOLD = 1e-5
 
@@ -66,32 +66,34 @@ def count_nonzero_groups(model: ModelVector, spec: RegularizerSpec,
     """Number of regularizer groups containing at least one surviving weight."""
     if spec.blocks is None:
         raise ValueError("group counting needs a block structure")
-    W = model.weights
-    n = 0
-    if spec.blocks.mode == "per-class":
-        for k in range(W.shape[0]):
-            n += sum(np.any(np.abs(W[k, g]) > threshold) for g in spec.blocks.groups)
-    else:
-        n = sum(np.any(np.abs(W[:, g]) > threshold) for g in spec.blocks.groups)
-    return int(n)
+    return int(sum((np.abs(rows) > threshold).any(axis=1).sum()
+                   for rows, _ in _group_row_batches(model.weights, spec.blocks)))
 
 
-def hinge_sum(model: ModelVector, dataset: Dataset):
-    """Sum over samples of the multiclass hinge max_k((T_l x)^(k) + r_l^(k))."""
-    Y = apply_T(model, dataset)
+def hinge_sum(x: ModelVector | np.ndarray, dataset: Dataset):
+    """Sum over samples of the multiclass hinge max_k((T_l x)^(k) + r_l^(k)).
+
+    `x` is a ModelVector or a raw (K, M+1) augmented array, the solvers'
+    form.
+    """
+    x_aug = x.augmented() if isinstance(x, ModelVector) else np.asarray(x)
+    if x_aug.shape != (dataset.n_classes, dataset.n_features + 1):
+        raise ValueError("model and dataset dimensions do not agree")
     r = make_margin_offsets(dataset)
-    return float((Y + r).max(axis=1).sum())
+    return float((_apply_T_aug(x_aug, dataset) + r).max(axis=1).sum())
 
 
-def objective_value(model: ModelVector, dataset: Dataset, spec: RegularizerSpec,
-                    lam: float | None = None) -> ObjectiveValues:
-    """Regularizer value, hinge sum, and the optimization objective.
+def objective_value(x: ModelVector | np.ndarray, dataset: Dataset,
+                    spec: RegularizerSpec, lam: float | None = None) -> ObjectiveValues:
+    """Regularizer value, hinge sum, and the optimization objective of a
+    ModelVector or augmented array; evaluation and the solver reports
+    share it.
 
     With `lam` set (regularized mode) the total is g + lam * hinge_sum;
     in constrained mode (lam None) the total is the g value alone.
     """
-    g = regularizer_value(model, spec)
-    h = hinge_sum(model, dataset)
+    g = regularizer_value(x, spec)
+    h = hinge_sum(x, dataset)
     total = g + lam * h if lam is not None else g
     return ObjectiveValues(g, h, total)
 

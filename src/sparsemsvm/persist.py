@@ -106,6 +106,9 @@ def load_model(path) -> PersistedModel:
         header[key] = value
     if body_start is None:
         raise ValueError(f"{path}: missing end-header")
+    for key in ("classes", "features"):
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key!r} line")
     K = int(header["classes"])
     M = int(header["features"])
     rows = [np.array([float(v) for v in line.split()]) for line in lines[body_start:body_start + K]]

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluate import objective_value
 from .linop import (_apply_T_adjoint_aug, _apply_T_aug, features_aug_norm,
                     operator_norm)
 from .model import Dataset, ModelVector, RegularizerSpec, make_margin_offsets
@@ -99,21 +100,66 @@ def _guard(x_aug, objective=None):
         raise DivergenceError(f"diverged: objective={objective!r}")
 
 
-class _History:
-    def __init__(self, enabled):
-        self.enabled = enabled
-        self.data = {"objective": [], "rel_change": [], "time": []} if enabled else None
-        self._t0 = time.perf_counter()
-
-    def push(self, objective, rel_change):
-        if self.enabled:
-            self.data["objective"].append(objective)
-            self.data["rel_change"].append(rel_change)
-            self.data["time"].append(time.perf_counter() - self._t0)
+def _new_history(cfg):
+    return {"objective": [], "rel_change": [], "time": []} if cfg.record_history else None
 
 
-def _hinge_sum_aug(x_aug, dataset, r):
-    return float((_apply_T_aug(x_aug, dataset) + r).max(axis=1).sum())
+def _iterate(step, x0, cfg, callback=None, objective=None):
+    """The iteration loop shared by every solver.
+
+    `step(x) -> (x_new, dual_rel, obj)` advances one iteration and keeps
+    any dual or momentum state in its closure: `dual_rel` is the relative
+    change of that state (0 for the smooth solvers) and `obj` the
+    objective at x_new when the step computes it anyway, else None, in
+    which case `objective(x)` supplies it for the recorded history. The
+    loop owns the relative change, the divergence guard, the history, the
+    callback and the stopping rule.
+
+    Returns (x, iterations, converged, final relative change, history).
+    """
+    hist = _new_history(cfg)
+    t0 = time.perf_counter()
+    x, rel, converged, it = x0, np.inf, False, 0
+    for it in range(1, cfg.max_iter + 1):
+        x_new, dual_rel, obj = step(x)
+        rel = _rel_change(x_new, x)
+        x = x_new
+        if obj is None and hist is not None:
+            obj = objective(x)
+        _guard(x, obj)
+        if hist is not None:
+            hist["objective"].append(obj)
+            hist["rel_change"].append(rel)
+            hist["time"].append(time.perf_counter() - t0)
+        if callback is not None:
+            callback(it, x)
+        # a bit-exact frozen primal only counts as converged once the dual
+        # is stationary too (prox can pin x while y still warms up)
+        if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel <= cfg.rel_tol):
+            converged = True
+            break
+    return x, it, converged, rel if it else 0.0, hist
+
+
+def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
+    """Build the SolveReport of an `_iterate` result.
+
+    `lam` None is the constrained formulation: the objective is g alone
+    and, with `eta` set, the report carries the hinge budget violation.
+    The squared-l2 penalty with a dual iterate also gets its Fenchel gap.
+    """
+    x, it, converged, rel, hist = run
+    obj = objective_value(x, dataset, spec, lam)
+    report = SolveReport(model=ModelVector.from_augmented(x), iterations=it,
+                         converged=converged, final_rel_change=rel,
+                         g_value=obj.g_value, hinge_sum=obj.hinge_sum,
+                         primal_objective=obj.total, dual_y=dual_y, history=hist)
+    if eta is not None:
+        report.constraint_violation = max(0.0, obj.hinge_sum - eta)
+    if lam is not None and dual_y is not None and spec.kind == "l2sq":
+        report.dual_objective, report.dual_gap = _l2sq_dual_gap(
+            x, dual_y, dataset, obj.total)
+    return report
 
 
 def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
@@ -131,48 +177,23 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
     normT = _norm_T(dataset, cfg)
     tau, sigma = _fbpd_steps(cfg, normT)
     r = make_margin_offsets(dataset)
-
-    x = np.zeros((K, M + 1))
     y = np.zeros((L, K))
-    hist = _History(cfg.record_history)
-    rel = np.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
+
+    def step(x):
+        nonlocal y
         x_new = prox_regularizer_aug(x - tau * _apply_T_adjoint_aug(y, dataset), spec, tau)
         y_hat = y + sigma * _apply_T_aug(2.0 * x_new - x, dataset)
         y_new = project_simplex_rows(y_hat + sigma * r, lam)
-        rel = _rel_change(x_new, x)
         dual_rel = _rel_change(y_new, y)
-        x, y = x_new, y_new
-        if hist.enabled:
-            obj = regularizer_value(x, spec) + lam * _hinge_sum_aug(x, dataset, r)
-            _guard(x, obj)
-            hist.push(obj, rel)
-        else:
-            _guard(x)
-        if callback is not None:
-            callback(it, x)
-        # a bit-exact frozen primal only counts as converged once the dual
-        # is stationary too (prox can pin x while y still warms up)
-        if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel <= cfg.rel_tol):
-            converged = True
-            break
+        y = y_new
+        return x_new, dual_rel, None
 
-    model = ModelVector.from_augmented(x)
-    g = regularizer_value(x, spec)
-    h = _hinge_sum_aug(x, dataset, r)
-    report = SolveReport(model=model, iterations=it, converged=converged,
-                         final_rel_change=rel if it else 0.0,
-                         g_value=g, hinge_sum=h, primal_objective=g + lam * h,
-                         dual_y=y, history=hist.data)
-    if spec.kind == "l2sq":
-        report.dual_objective, report.dual_gap = _l2sq_dual_gap(
-            x, y, dataset, r, report.primal_objective)
-    return report
+    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
+                   lambda x: objective_value(x, dataset, spec, lam).total)
+    return _report(run, dataset, spec, lam=lam, dual_y=y)
 
 
-def _l2sq_dual_gap(x_aug, y, dataset, r, primal):
+def _l2sq_dual_gap(x_aug, y, dataset, primal):
     """Fenchel-Rockafellar dual value g*(-T^T y) - <r, y> for the squared-l2
     penalty, plus the resulting primal-dual gap.
 
@@ -182,6 +203,7 @@ def _l2sq_dual_gap(x_aug, y, dataset, r, primal):
     the link identity checked in the tests.
     """
     v = -_apply_T_adjoint_aug(y, dataset)
+    r = make_margin_offsets(dataset)
     dual = 0.25 * float((v[:, :-1] ** 2).sum()) - float((r * y).sum())
     return dual, primal + dual
 
@@ -201,16 +223,12 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
     normT = _norm_T(dataset, cfg)
     tau, sigma = _fbpd_steps(cfg, max(normT, 1.0))
     r = make_margin_offsets(dataset)
-
-    x = np.zeros((K, M + 1))
     zeta = np.zeros(L)
     y = np.zeros((L, K))
     xi = np.zeros(L)
-    hist = _History(cfg.record_history)
-    rel = np.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
+
+    def step(x):
+        nonlocal zeta, y, xi
         x_new = prox_regularizer_aug(x - tau * _apply_T_adjoint_aug(y, dataset), spec, tau)
         zeta_new = project_halfspace_sum(zeta - tau * xi, eta)
         y_hat = y + sigma * _apply_T_aug(2.0 * x_new - x, dataset)
@@ -218,28 +236,14 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
         y_tilde, xi_tilde = project_epigraph_max_rows(y_hat / sigma, r, xi_hat / sigma)
         y_new = y_hat - sigma * y_tilde
         xi_new = xi_hat - sigma * xi_tilde
-        rel = _rel_change(x_new, x)
-        others = [_rel_change(y_new, y), _rel_change(xi_new, xi),
-                  _rel_change(zeta_new, zeta)]
-        x, zeta, y, xi = x_new, zeta_new, y_new, xi_new
-        if hist.enabled:
-            hist.push(regularizer_value(x, spec), rel)
-        _guard(x)
-        if callback is not None:
-            callback(it, x)
-        # same frozen-primal guard as the regularized solver
-        if rel <= cfg.rel_tol and (rel > 0.0 or max(others) <= cfg.rel_tol):
-            converged = True
-            break
+        dual_rel = max(_rel_change(y_new, y), _rel_change(xi_new, xi),
+                       _rel_change(zeta_new, zeta))
+        zeta, y, xi = zeta_new, y_new, xi_new
+        return x_new, dual_rel, None
 
-    model = ModelVector.from_augmented(x)
-    g = regularizer_value(x, spec)
-    h = _hinge_sum_aug(x, dataset, r)
-    return SolveReport(model=model, iterations=it, converged=converged,
-                       final_rel_change=rel if it else 0.0,
-                       g_value=g, hinge_sum=h, primal_objective=g,
-                       constraint_violation=max(0.0, h - eta),
-                       dual_y=y, history=hist.data)
+    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
+                   lambda x: regularizer_value(x, spec))
+    return _report(run, dataset, spec, eta=eta, dual_y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -270,42 +274,32 @@ def _logistic_loss_grad(x_aug, dataset, r, lam):
     return value, grad
 
 
-def _fista(x0, loss_grad, prox_step, step, cfg, g_value, callback=None):
+def _fista(x0, loss_grad, spec, gamma, cfg, callback=None):
     """Accelerated forward-backward with function-value restart.
 
-    `loss_grad(x) -> (value, grad)` is the smooth part, `prox_step(v, s)`
-    the backward step, `g_value(x)` the nonsmooth part's value (for the
-    restart test and diagnostics).
+    `loss_grad(x) -> (value, grad)` is the smooth part, the prox of g the
+    backward step with step size `gamma`; the objective drives the restart
+    test and is what each step hands to `_iterate`.
     """
-    x = x0
-    v = x0
-    t = 1.0
-    obj_x = loss_grad(x)[0] + g_value(x)
-    rel = np.inf
-    converged = False
-    hist = _History(cfg.record_history)
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
+    v, t = x0, 1.0
+    obj_x = loss_grad(x0)[0] + regularizer_value(x0, spec)
+
+    def step(x):
+        nonlocal v, t, obj_x
         _, grad_v = loss_grad(v)
-        x_new = prox_step(v - step * grad_v, step)
-        obj_new = loss_grad(x_new)[0] + g_value(x_new)
+        x_new = prox_regularizer_aug(v - gamma * grad_v, spec, gamma)
+        obj_new = loss_grad(x_new)[0] + regularizer_value(x_new, spec)
         if obj_new > obj_x:  # momentum restart: plain descent step from x
             t = 1.0
             _, grad_x = loss_grad(x)
-            x_new = prox_step(x - step * grad_x, step)
-            obj_new = loss_grad(x_new)[0] + g_value(x_new)
+            x_new = prox_regularizer_aug(x - gamma * grad_x, spec, gamma)
+            obj_new = loss_grad(x_new)[0] + regularizer_value(x_new, spec)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         v = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        rel = _rel_change(x_new, x)
-        x, t, obj_x = x_new, t_new, obj_new
-        _guard(x, obj_x)
-        hist.push(obj_x, rel)
-        if callback is not None:
-            callback(it, x)
-        if rel <= cfg.rel_tol:
-            converged = True
-            break
-    return x, it, converged, rel, hist
+        t, obj_x = t_new, obj_new
+        return x_new, 0.0, obj_new
+
+    return _iterate(step, x0, cfg, callback)
 
 
 def solve_square_fista(dataset: Dataset, spec: RegularizerSpec,
@@ -317,14 +311,10 @@ def solve_square_fista(dataset: Dataset, spec: RegularizerSpec,
     K, M = dataset.n_classes, dataset.n_features
     normT = _norm_T(dataset, cfg)
     r = make_margin_offsets(dataset)
-    step = 1.0 / max(2.0 * lam * normT ** 2, 1e-12)
-
-    x, it, converged, rel, hist = _fista(
-        np.zeros((K, M + 1)),
-        lambda z: _square_loss_grad(z, dataset, r, lam),
-        lambda z, s: prox_regularizer_aug(z, spec, s),
-        step, cfg, lambda z: regularizer_value(z, spec), callback)
-    return _smooth_report(x, it, converged, rel, hist, dataset, spec, lam, r)
+    gamma = 1.0 / max(2.0 * lam * normT ** 2, 1e-12)
+    run = _fista(np.zeros((K, M + 1)), lambda z: _square_loss_grad(z, dataset, r, lam),
+                 spec, gamma, cfg, callback)
+    return _report(run, dataset, spec, lam=lam)
 
 
 def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
@@ -336,30 +326,16 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
     K, M = dataset.n_classes, dataset.n_features
     normT = _norm_T(dataset, cfg)
     r = make_margin_offsets(dataset)
-    step = 1.0 / max(lam * normT ** 2, 1e-12)
+    gamma = 1.0 / max(lam * normT ** 2, 1e-12)
 
-    x = np.zeros((K, M + 1))
-    hist = _History(cfg.record_history)
-    rel = np.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
+    def step(x):
         _, grad = _logistic_loss_grad(x, dataset, r, lam)
-        x_new = prox_regularizer_aug(x - step * grad, spec, step)
-        rel = _rel_change(x_new, x)
-        x = x_new
-        if hist.enabled:
-            obj = _logistic_loss_grad(x, dataset, r, lam)[0] + regularizer_value(x, spec)
-            _guard(x, obj)
-            hist.push(obj, rel)
-        else:
-            _guard(x)
-        if callback is not None:
-            callback(it, x)
-        if rel <= cfg.rel_tol:
-            converged = True
-            break
-    return _smooth_report(x, it, converged, rel, hist, dataset, spec, lam, r)
+        return prox_regularizer_aug(x - gamma * grad, spec, gamma), 0.0, None
+
+    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
+                   lambda x: _logistic_loss_grad(x, dataset, r, lam)[0]
+                   + regularizer_value(x, spec))
+    return _report(run, dataset, spec, lam=lam)
 
 
 def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
@@ -369,7 +345,8 @@ def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
     Class k is trained against the rest (binary target +1 on its own
     samples) with the same accelerated machinery as the joint squared
     hinge; the K solutions are concatenated. Cross-class groupings couple
-    the blocks and are rejected.
+    the blocks and are rejected. The callback sees the concatenated
+    solution once, at the end, and the history stays empty.
     """
     lam = _require(cfg, "lam")
     spec.validate(dataset.n_features)
@@ -377,52 +354,31 @@ def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
         raise ValueError("one-vs-all cannot honor cross-class groups")
     K, M = dataset.n_classes, dataset.n_features
     norm_phi = features_aug_norm(dataset).value
-    step = 1.0 / max(2.0 * lam * norm_phi ** 2, 1e-12)
+    gamma = 1.0 / max(2.0 * lam * norm_phi ** 2, 1e-12)
     feats = dataset.features
     mu = dataset.margins
 
-    blocks = []
-    total_it = 0
-    all_converged = True
-    rel_last = 0.0
-    for k in range(K):
+    def binary_loss_grad(k):
         sign = np.where(dataset.labels == k, 1.0, -1.0)
 
-        def loss_grad(xb, sign=sign):
+        def loss_grad(xb):
             s = feats @ xb[0, :-1] + xb[0, -1]
             gap = np.maximum(mu - sign * s, 0.0)
             value = lam * float((gap ** 2).sum())
             coeff = -2.0 * lam * sign * gap
-            gw = feats.T @ coeff
-            gw = np.asarray(gw).ravel()
+            gw = np.asarray(feats.T @ coeff).ravel()
             return value, np.append(gw, coeff.sum())[None, :]
+        return loss_grad
 
-        xb, it, conv, rel, _ = _fista(
-            np.zeros((1, M + 1)), loss_grad,
-            lambda z, s: prox_regularizer_aug(z, spec, s),
-            step, cfg, lambda z: regularizer_value(z, spec), None)
-        blocks.append(xb[0])
-        total_it += it
-        rel_last = max(rel_last, rel)
-        all_converged &= conv
-
-    x = np.vstack(blocks) if K else np.zeros((0, M + 1))
-    r = make_margin_offsets(dataset)
-    hist = _History(cfg.record_history)
-    report = _smooth_report(x, total_it, all_converged, rel_last, hist,
-                            dataset, spec, lam, r)
+    xs, its, convs, rels, _ = zip(*[
+        _fista(np.zeros((1, M + 1)), binary_loss_grad(k), spec, gamma, cfg)
+        for k in range(K)])
+    x = np.vstack([xb[0] for xb in xs])
+    report = _report((x, sum(its), all(convs), max(rels), _new_history(cfg)),
+                     dataset, spec, lam=lam)
     if callback is not None:
-        callback(total_it, x)
+        callback(report.iterations, x)
     return report
-
-
-def _smooth_report(x_aug, it, converged, rel, hist, dataset, spec, lam, r):
-    g = regularizer_value(x_aug, spec)
-    h = _hinge_sum_aug(x_aug, dataset, r)
-    return SolveReport(model=ModelVector.from_augmented(x_aug), iterations=it,
-                       converged=converged, final_rel_change=rel if it else 0.0,
-                       g_value=g, hinge_sum=h, primal_objective=g + lam * h,
-                       history=hist.data)
 
 
 SOLVERS = {

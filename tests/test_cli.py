@@ -49,6 +49,16 @@ class TestPersistence:
         np.testing.assert_array_equal(spec.blocks.groups[0], [0, 2])
         np.testing.assert_array_equal(spec.blocks.groups[1], [1, 3])
 
+    @pytest.mark.parametrize("key", ["classes", "features"])
+    def test_missing_dimension_line_is_value_error(self, tmp_path, key):
+        path = tmp_path / "m.model"
+        save_model(path, PersistedModel(model=ModelVector(np.ones((2, 3)), np.zeros(2)),
+                                        reg_kind="l1"))
+        lines = [l for l in path.read_text().splitlines() if not l.startswith(key + " ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.model"
         path.write_text("something else\n")
@@ -89,6 +99,23 @@ class TestTrain:
                      "--solver", "fbpd-reg", "--alpha", "1.0",
                      "--out", str(tmp_path / "m")])
         assert code == 1
+
+    def test_divergence_is_error_line(self, synthetic_files, tmp_path, capsys):
+        train_p, _ = synthetic_files
+        code = main(["train", "--data", train_p, "--solver", "fista-square",
+                     "--alpha", "1e-13", "--out", str(tmp_path / "d.model")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: diverged: ")
+
+    def test_signed_block_size_is_saved_as_size(self, synthetic_files, tmp_path):
+        train_p, _ = synthetic_files
+        out = tmp_path / "b.model"
+        main(["train", "--data", train_p, "--solver", "fbpd-reg", "--reg", "l12",
+              "--blocks", "+2", "--alpha", "1.0", "--max-iter", "10",
+              "--out", str(out)])
+        header = out.read_text().split("end-header")[0].splitlines()
+        assert "block_size 2" in header
+        assert not any(l.startswith("groups ") for l in header)
 
     def test_constrained_solver_eta_convention(self, synthetic_files, tmp_path):
         # eta = alpha * L for the constrained formulation
@@ -139,6 +166,18 @@ class TestEval:
         eval_text = capsys.readouterr().out
         hinge_eval = next(l for l in eval_text.splitlines() if l.startswith("hinge_sum"))
         assert hinge_line.split()[1] == hinge_eval.split()[1]
+
+    def test_model_without_classes_is_error_line(self, synthetic_files, tmp_path, capsys):
+        train_p, _ = synthetic_files
+        out = tmp_path / "m.model"
+        main(["train", "--data", train_p, "--solver", "fbpd-reg",
+              "--alpha", "1.0", "--max-iter", "0", "--out", str(out)])
+        out.write_text("".join(l for l in out.read_text().splitlines(keepends=True)
+                               if not l.startswith("classes ")))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(out), "--data", train_p]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "classes" in err
 
     def test_missing_model_file(self, synthetic_files):
         _, test_p = synthetic_files

@@ -83,6 +83,15 @@ def test_count_nonzero_groups_modes():
     with pytest.raises(ValueError):
         count_nonzero_groups(m, RegularizerSpec("l1"))
 
+    # unequal sizes {0,1}, {2,3}, {4}: the short last group is counted too
+    W = np.array([[1.0, 0.0, 0.0, 0.0, 1.0],
+                  [0.0, 1.0, 0.0, 0.0, 0.0]])
+    m = ModelVector(W, np.zeros(2))
+    per = RegularizerSpec("l12", BlockStructure.contiguous(5, 2))
+    assert count_nonzero_groups(m, per) == 3
+    cross = RegularizerSpec("l12", BlockStructure.contiguous(5, 2, mode="cross-class"))
+    assert count_nonzero_groups(m, cross) == 2
+
 
 class TestObjectiveValue:
     def test_zero_model_values(self, rng):

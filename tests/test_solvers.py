@@ -253,23 +253,29 @@ def test_prediction_invariant_to_common_offset_shift(name, rng):
     np.testing.assert_array_equal(predict(shifted, probe), base)
 
 
-def test_history_recording():
+DRIVEN_SOLVERS = ["fbpd-reg", "fbpd-con", "fista-square", "fb-logit"]
+
+
+@pytest.mark.parametrize("name", DRIVEN_SOLVERS)
+def test_history_recording(name):
     ds = tiny_dataset(5)
-    rep = solve_regularized_fbpd(ds, RegularizerSpec("l1"),
-                                 SolverConfig(lam=1.0, max_iter=50, rel_tol=0.0,
-                                              record_history=True))
-    assert len(rep.history["objective"]) == 50
-    assert len(rep.history["rel_change"]) == 50
-    assert len(rep.history["time"]) == 50
+    rep = SOLVERS[name](ds, RegularizerSpec("l1"),
+                        SolverConfig(lam=1.0, eta=1.0, max_iter=50, rel_tol=0.0,
+                                     record_history=True))
+    assert rep.iterations == 50
+    for key in ("objective", "rel_change", "time"):
+        assert len(rep.history[key]) == rep.iterations
 
 
-def test_callback_sees_every_iteration():
+@pytest.mark.parametrize("name", DRIVEN_SOLVERS)
+def test_callback_sees_every_iteration(name):
     ds = tiny_dataset(5)
     seen = []
-    solve_regularized_fbpd(ds, RegularizerSpec("l1"),
-                           SolverConfig(lam=1.0, max_iter=20, rel_tol=0.0),
-                           callback=lambda i, x: seen.append(i))
-    assert seen == list(range(1, 21))
+    rep = SOLVERS[name](ds, RegularizerSpec("l1"),
+                        SolverConfig(lam=1.0, eta=1.0, max_iter=20, rel_tol=0.0),
+                        callback=lambda i, x: seen.append(i))
+    assert seen == list(range(1, rep.iterations + 1))
+    assert rep.iterations == 20
 
 
 def test_hinge_sum_nonnegative_across_solvers(rng):
