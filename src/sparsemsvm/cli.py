@@ -3,12 +3,15 @@ level, and benchmark solver convergence.
 
 Exit codes: 0 on success, 2 when a solve finished without reaching the
 stopping tolerance (results are still written), 1 on data or file errors
-and on a diverged solve, 2 on usage errors (argparse convention).
+and on a diverged solve (a sweep still writes every row, with `nan` means
+for the alpha that diverged), 2 on usage errors (argparse convention),
+among them an `--alpha` or `--alphas` entry that is not a finite number > 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -29,6 +32,22 @@ def _load_dataset(path, fmt):
     if fmt == "csv":
         return datamod.load_dense_csv(path)
     return datamod.load_sparse_svmlight(path)
+
+
+def _alpha(text):
+    """argparse type of `--alpha`: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"alpha must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _alphas(text):
+    """argparse type of `--alphas`: comma-separated `_alpha` values."""
+    return [_alpha(a) for a in text.split(",") if a]
 
 
 def _block_size(arg):
@@ -168,7 +187,6 @@ def cmd_eval(args):
 def cmd_sweep(args):
     pool = _load_dataset(args.data, args.format)
     test_fixed = _load_dataset(args.test, args.format) if args.test else None
-    alphas = [float(a) for a in args.alphas.split(",") if a]
     spec = _build_spec(args, pool.n_features)
 
     # repetition r uses seed + r; splits and operator norms are shared
@@ -185,15 +203,21 @@ def cmd_sweep(args):
             raise ValueError("sweep needs a test set: pass --test or leave samples out")
         splits.append((train, test, operator_norm(train).value))
 
-    rows = []
+    rows, diverged = [], []
     all_converged = True
-    for alpha in alphas:
+    for alpha in args.alphas:
         errors, rates, nonzeros, times = [], [], [], []
         for train, test, norm_T in splits:
             argsolver = argparse.Namespace(**vars(args), alpha=alpha)
             cfg = _build_config(argsolver, train, norm_T=norm_T)
             t0 = time.perf_counter()
-            report = SOLVERS[args.solver](train, spec, cfg)
+            try:
+                report = SOLVERS[args.solver](train, spec, cfg)
+            except DivergenceError as exc:
+                # this alpha's row gets nan means; the grid goes on
+                diverged.append((alpha, exc))
+                errors = rates = nonzeros = times = [np.nan]
+                break
             times.append(time.perf_counter() - t0)
             all_converged &= report.converged
             ev = evaluate_model(report.model, test, spec, lam=cfg.lam,
@@ -215,6 +239,11 @@ def cmd_sweep(args):
         with open(args.out, "w") as fh:
             fh.write(out)
     sys.stdout.write(out)
+    for alpha, exc in diverged:
+        detail = str(exc).removeprefix("diverged: ")
+        print(f"error: diverged at alpha {_fmt(alpha)}: {detail}", file=sys.stderr)
+    if diverged:
+        return 1
     return 0 if all_converged else 2
 
 
@@ -277,7 +306,7 @@ def build_parser():
     p = sub.add_parser("train", help="train a classifier and persist the model")
     _data_args(p)
     _solver_args(p)
-    p.add_argument("--alpha", type=float, required=True,
+    p.add_argument("--alpha", type=_alpha, required=True,
                    help="sweep parameter: lam = 1/alpha, or eta = alpha*L for fbpd-con")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--standardize", action="store_true")
@@ -295,7 +324,7 @@ def build_parser():
     _data_args(p)
     _solver_args(p)
     p.add_argument("--test", default=None, help="fixed test set (defaults to held-out samples)")
-    p.add_argument("--alphas", default=DEFAULT_ALPHAS)
+    p.add_argument("--alphas", type=_alphas, default=DEFAULT_ALPHAS)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--train-per-class", type=int, default=None)
     p.add_argument("--threshold", type=float, default=1e-5)
@@ -310,7 +339,7 @@ def build_parser():
     p.add_argument("--reg", default="l1", choices=["l1", "l12", "l1inf", "l2sq"])
     p.add_argument("--blocks", default="1")
     p.add_argument("--group", default="per-class", choices=["per-class", "cross-class"])
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--ref-tol-factor", type=float, default=1e-2,
                    help="reference run stops at tol times this factor")

@@ -17,10 +17,11 @@ class DataFormatError(ValueError):
 
 def load_dense_csv(path) -> Dataset:
     """Dense CSV: first column an integer 1-based label, the remaining M
-    columns the feature values. Rejects ragged rows, non-numeric cells and
-    empty files."""
+    columns the feature values. Rejects ragged rows, non-numeric or
+    non-finite cells and empty files."""
     labels = []
     rows = []
+    linenos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -43,9 +44,14 @@ def load_dense_csv(path) -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: labels must be >= 1")
             labels.append(label)
             rows.append(feats)
+            linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    return Dataset.from_arrays(np.asarray(rows), labels, one_based=True)
+    feats = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{linenos[bad[0]]}: non-finite feature cell")
+    return Dataset.from_arrays(feats, labels, one_based=True)
 
 
 def save_dense_csv(path, dataset: Dataset):
@@ -61,8 +67,9 @@ def save_dense_csv(path, dataset: Dataset):
 def load_sparse_svmlight(path, n_features=None) -> Dataset:
     """svmlight-style text: lines `label idx:val idx:val ...` with 1-based,
     strictly increasing indices; missing features are exact zeros.
-    Trailing `#` comments are ignored."""
+    Trailing `#` comments are ignored; non-finite values are rejected."""
     labels = []
+    linenos = []
     data, indices, indptr = [], [], [0]
     max_idx = 0
     with open(path) as fh:
@@ -95,8 +102,13 @@ def load_sparse_svmlight(path, n_features=None) -> Dataset:
             max_idx = max(max_idx, prev)
             indptr.append(len(data))
             labels.append(label)
+            linenos.append(lineno)
     if not labels:
         raise DataFormatError(f"{path}: empty file")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        row = np.searchsorted(indptr, bad[0], side="right") - 1
+        raise DataFormatError(f"{path}:{linenos[row]}: non-finite feature value")
     M = n_features if n_features is not None else max_idx
     if max_idx > M:
         raise DataFormatError(f"{path}: index {max_idx} exceeds n_features={M}")

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import objective_value
-from .linop import (_apply_T_adjoint_aug, _apply_T_aug, features_aug_norm,
-                    operator_norm)
+from .linop import (_apply_T_adjoint_aug, _apply_T_aug, _scores_aug,
+                    features_aug_norm, operator_norm)
 from .model import Dataset, ModelVector, RegularizerSpec, make_margin_offsets
 from .prox import (project_epigraph_max_rows, project_halfspace_sum,
                    project_simplex_rows, prox_regularizer_aug,
@@ -92,16 +92,13 @@ def _rel_change(x_new, x):
     return float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12))
 
 
-def _guard(x_aug, objective=None):
-    """Divergence guard: abort on non-finite iterates or runaway objective."""
+def _guard(x_aug, objective, cap):
+    """Divergence guard: abort on a non-finite or runaway iterate, or on an
+    objective (None when unknown) that is non-finite or beyond `cap`."""
     if not np.all(np.isfinite(x_aug)) or np.abs(x_aug).max(initial=0.0) > OBJECTIVE_CAP:
         raise DivergenceError("diverged: non-finite or runaway iterate")
-    if objective is not None and (not np.isfinite(objective) or objective > OBJECTIVE_CAP):
+    if objective is not None and (not np.isfinite(objective) or objective > cap):
         raise DivergenceError(f"diverged: objective={objective!r}")
-
-
-def _new_history(cfg):
-    return {"objective": [], "rel_change": [], "time": []} if cfg.record_history else None
 
 
 def _iterate(step, x0, cfg, callback=None, objective=None):
@@ -113,20 +110,24 @@ def _iterate(step, x0, cfg, callback=None, objective=None):
     objective at x_new when the step computes it anyway, else None, in
     which case `objective(x)` supplies it for the recorded history. The
     loop owns the relative change, the divergence guard, the history, the
-    callback and the stopping rule.
+    callback and the stopping rule. The objective cap is OBJECTIVE_CAP
+    times the first known objective (at least 1), so a large `lam * loss`
+    at the start is not mistaken for divergence.
 
     Returns (x, iterations, converged, final relative change, history).
     """
-    hist = _new_history(cfg)
+    hist = {"objective": [], "rel_change": [], "time": []} if cfg.record_history else None
     t0 = time.perf_counter()
-    x, rel, converged, it = x0, np.inf, False, 0
+    x, rel, converged, it, cap = x0, np.inf, False, 0, None
     for it in range(1, cfg.max_iter + 1):
         x_new, dual_rel, obj = step(x)
         rel = _rel_change(x_new, x)
         x = x_new
         if obj is None and hist is not None:
             obj = objective(x)
-        _guard(x, obj)
+        if cap is None and obj is not None:
+            cap = OBJECTIVE_CAP * max(1.0, abs(obj))
+        _guard(x, obj, cap)
         if hist is not None:
             hist["objective"].append(obj)
             hist["rel_change"].append(rel)
@@ -340,13 +341,14 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
 
 def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
                      cfg: SolverConfig, callback=None) -> SolveReport:
-    """K independent binary squared-hinge problems, one per class block.
+    """K binary squared-hinge problems, class k against the rest, solved
+    as one accelerated forward-backward run on the stacked (K, M+1) iterate.
 
-    Class k is trained against the rest (binary target +1 on its own
-    samples) with the same accelerated machinery as the joint squared
-    hinge; the K solutions are concatenated. Cross-class groupings couple
-    the blocks and are rejected. The callback sees the concatenated
-    solution once, at the end, and the history stays empty.
+    Block k's binary target is +1 on class k's samples and -1 elsewhere.
+    The loss and every accepted penalty separate over the blocks, so each
+    stacked iteration advances all K problems; `max_iter`, the history and
+    the callback count stacked iterations. Cross-class groupings couple
+    the blocks and are rejected.
     """
     lam = _require(cfg, "lam")
     spec.validate(dataset.n_features)
@@ -355,30 +357,17 @@ def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
     K, M = dataset.n_classes, dataset.n_features
     norm_phi = features_aug_norm(dataset).value
     gamma = 1.0 / max(2.0 * lam * norm_phi ** 2, 1e-12)
-    feats = dataset.features
-    mu = dataset.margins
+    sign = np.where(dataset.labels[:, None] == np.arange(K), 1.0, -1.0)
+    mu = dataset.margins[:, None]
 
-    def binary_loss_grad(k):
-        sign = np.where(dataset.labels == k, 1.0, -1.0)
+    def loss_grad(x):
+        gap = np.maximum(mu - sign * _scores_aug(x, dataset), 0.0)
+        coeff = -2.0 * lam * sign * gap
+        gw = np.asarray(coeff.T @ dataset.features)
+        return lam * float((gap ** 2).sum()), np.hstack([gw, coeff.sum(axis=0)[:, None]])
 
-        def loss_grad(xb):
-            s = feats @ xb[0, :-1] + xb[0, -1]
-            gap = np.maximum(mu - sign * s, 0.0)
-            value = lam * float((gap ** 2).sum())
-            coeff = -2.0 * lam * sign * gap
-            gw = np.asarray(feats.T @ coeff).ravel()
-            return value, np.append(gw, coeff.sum())[None, :]
-        return loss_grad
-
-    xs, its, convs, rels, _ = zip(*[
-        _fista(np.zeros((1, M + 1)), binary_loss_grad(k), spec, gamma, cfg)
-        for k in range(K)])
-    x = np.vstack([xb[0] for xb in xs])
-    report = _report((x, sum(its), all(convs), max(rels), _new_history(cfg)),
-                     dataset, spec, lam=lam)
-    if callback is not None:
-        callback(report.iterations, x)
-    return report
+    run = _fista(np.zeros((K, M + 1)), loss_grad, spec, gamma, cfg, callback)
+    return _report(run, dataset, spec, lam=lam)
 
 
 SOLVERS = {

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import windowed_residual_check
+from sparsemsvm import cli, solvers
 from sparsemsvm.cli import main
 from sparsemsvm.data import load_dense_csv, make_synthetic, save_dense_csv, split
 from sparsemsvm.evaluate import evaluate_model
+from sparsemsvm.linop import NormEstimate
 from sparsemsvm.model import ModelVector, RegularizerSpec
 from sparsemsvm.persist import PersistedModel, load_model, save_model
-from sparsemsvm.solvers import SOLVERS, SolverConfig
+from sparsemsvm.solvers import SOLVERS, DivergenceError, SolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +102,36 @@ class TestTrain:
                      "--out", str(tmp_path / "m")])
         assert code == 1
 
-    def test_divergence_is_error_line(self, synthetic_files, tmp_path, capsys):
+    def test_divergence_is_error_line(self, synthetic_files, tmp_path, capsys,
+                                      monkeypatch):
+        # an operator norm far below the true one makes the step diverge
+        monkeypatch.setattr(solvers, "operator_norm",
+                            lambda dataset: NormEstimate(1e-8, True, 1))
         train_p, _ = synthetic_files
         code = main(["train", "--data", train_p, "--solver", "fista-square",
-                     "--alpha", "1e-13", "--out", str(tmp_path / "d.model")])
+                     "--alpha", "1.0", "--out", str(tmp_path / "d.model")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: diverged: ")
+
+    def test_large_start_objective_is_not_divergence(self, tmp_path, capsys):
+        # lam = 1e13 puts lam * loss at the zero start above 1e12; the
+        # objective cap is relative to it
+        data = tmp_path / "d.csv"
+        save_dense_csv(data, make_synthetic(3, 5, 30, separation=5.0, seed=3))
+        code = main(["train", "--data", str(data), "--solver", "fista-square",
+                     "--alpha", "1e-13", "--out", str(tmp_path / "m.model")])
+        assert code == 0
+        assert "converged 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf", "x"])
+    def test_non_positive_alpha_is_usage_error(self, synthetic_files, tmp_path,
+                                               capsys, alpha):
+        train_p, _ = synthetic_files
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", train_p, "--solver", "fbpd-reg",
+                  "--alpha", alpha, "--out", str(tmp_path / "m")])
+        assert exc.value.code == 2
+        assert "alpha must be a finite number > 0" in capsys.readouterr().err
 
     def test_signed_block_size_is_saved_as_size(self, synthetic_files, tmp_path):
         train_p, _ = synthetic_files
@@ -237,6 +263,38 @@ class TestSweep:
         assert mean_errors == pytest.approx(np.mean(errs))
 
 
+    def test_diverged_alpha_keeps_other_rows(self, synthetic_files, tmp_path,
+                                             capsys, monkeypatch):
+        solve = SOLVERS["fista-square"]
+
+        def diverge_at_lam_2(dataset, spec, cfg, callback=None):
+            if cfg.lam == 2.0:
+                raise DivergenceError("diverged: objective=inf")
+            return solve(dataset, spec, cfg, callback)
+
+        monkeypatch.setitem(cli.SOLVERS, "fista-square", diverge_at_lam_2)
+        train_p, test_p = synthetic_files
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--data", train_p, "--test", test_p,
+                     "--solver", "fista-square", "--alphas", "0.1,0.5,10",
+                     "--repeats", "2", "--max-iter", "2000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: diverged at alpha 0.5: objective=inf\n"
+        rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0.10000000000000001", "0.5", "10"]
+        assert rows[1][1:] == ["nan", "nan", "nan"]
+        assert all(c != "nan" for r in (rows[0], rows[2]) for c in r)
+
+    def test_zero_alpha_is_usage_error(self, synthetic_files, capsys):
+        train_p, test_p = synthetic_files
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", train_p, "--test", test_p,
+                  "--solver", "fista-square", "--alphas", "1,0"])
+        assert exc.value.code == 2
+        assert "alpha must be a finite number > 0, got '0'" in capsys.readouterr().err
+
+
 class TestBench:
     def test_distance_curve_and_determinism(self, synthetic_files, tmp_path, capsys):
         train_p, _ = synthetic_files
@@ -268,6 +326,14 @@ class TestBench:
         n_rows = sum(1 for l in lines if l.startswith("fbpd-reg"))
         assert rep.iterations == n_rows  # identical iterate counts
         assert windowed_residual_check(rep.history["rel_change"])
+
+
+    def test_zero_alpha_is_usage_error(self, synthetic_files, capsys):
+        train_p, _ = synthetic_files
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", train_p, "--alpha", "0"])
+        assert exc.value.code == 2
+        assert "alpha must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_sweep_byte_determinism(synthetic_files, tmp_path, capsys):

@@ -42,6 +42,13 @@ class TestDenseCsv:
         with pytest.raises(DataFormatError):
             load_dense_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, cell):
+        p = tmp_path / "f.csv"
+        p.write_text(f"1,0.5,1.5\n\n2,{cell},0\n")
+        with pytest.raises(DataFormatError, match=r"f\.csv:3: non-finite"):
+            load_dense_csv(p)
+
     def test_round_trip(self, tmp_path, rng):
         ds = make_synthetic(3, 5, 20, seed=3)
         p = tmp_path / "rt.csv"
@@ -78,6 +85,13 @@ class TestSvmlight:
         p = tmp_path / "bad.txt"
         p.write_text("1 2:1.0 oops\n")
         with pytest.raises(DataFormatError):
+            load_sparse_svmlight(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        p = tmp_path / "f.txt"
+        p.write_text(f"1 1:0.5\n2\n# note\n3 2:1.0 4:{value}\n1 1:2.0\n")
+        with pytest.raises(DataFormatError, match=r"f\.txt:4: non-finite"):
             load_sparse_svmlight(p)
 
     def test_comments_and_blank_lines(self, tmp_path):

@@ -6,10 +6,11 @@ from _frozen import SUBGRADIENT_REFERENCES
 from conftest import (random_dataset, spec_from_record, tiny_dataset,
                       windowed_residual_check)
 from sparsemsvm.evaluate import hinge_sum, predict
-from sparsemsvm.linop import apply_T_adjoint
-from sparsemsvm.model import (Dataset, ModelVector, RegularizerSpec,
-                              make_margin_offsets)
-from sparsemsvm.solvers import (DivergenceError, SOLVERS, SolverConfig,
+from sparsemsvm.linop import apply_T_adjoint, features_aug_norm
+from sparsemsvm.model import (BlockStructure, Dataset, ModelVector,
+                              RegularizerSpec, make_margin_offsets)
+from sparsemsvm.prox import regularizer_value
+from sparsemsvm.solvers import (DivergenceError, SOLVERS, SolverConfig, _fista,
                                 _logistic_loss_grad, _square_loss_grad,
                                 solve_constrained_fbpd, solve_one_vs_all,
                                 solve_regularized_fbpd)
@@ -82,7 +83,6 @@ def test_regularized_with_margins_matches_lp_reference(rng):
 
 def test_cross_class_grouping_matches_subgradient_oracle():
     ds = tiny_dataset(8)
-    from sparsemsvm.model import BlockStructure
     blocks = BlockStructure.contiguous(2, 1, mode="cross-class")
     spec = RegularizerSpec("l12", blocks)
     ref, _ = oracles.regularized_subgradient_reference(
@@ -92,14 +92,17 @@ def test_cross_class_grouping_matches_subgradient_oracle():
     assert abs(rep.primal_objective - ref) <= 1e-4 * (1.0 + abs(ref))
 
 
-def test_sparse_features_end_to_end(rng):
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_sparse_features_end_to_end(name):
     import scipy.sparse as sp
     dense = tiny_dataset(12)
     sparse_ds = Dataset(sp.csr_matrix(dense.dense_features()), dense.labels,
                         dense.n_classes, dense.margins)
-    cfg = SolverConfig(lam=1.0, max_iter=50000, rel_tol=1e-9)
-    a = solve_regularized_fbpd(dense, RegularizerSpec("l1"), cfg)
-    b = solve_regularized_fbpd(sparse_ds, RegularizerSpec("l1"), cfg)
+    # only fbpd-con reads eta: at 3.5 its solution is nonzero and it
+    # converges in about 2000 iterations
+    cfg = SolverConfig(lam=1.0, eta=3.5, max_iter=50000, rel_tol=1e-9)
+    a = SOLVERS[name](dense, RegularizerSpec("l1"), cfg)
+    b = SOLVERS[name](sparse_ds, RegularizerSpec("l1"), cfg)
     assert a.converged and b.converged
     np.testing.assert_allclose(b.model.weights, a.model.weights, atol=1e-7)
     assert b.primal_objective == pytest.approx(a.primal_objective, rel=1e-9)
@@ -159,8 +162,47 @@ def test_one_vs_all_single_class_is_binary_problem(rng):
     assert rep.model.weights.shape == (1, 3)
 
 
+def _per_class_one_vs_all(ds, spec, cfg):
+    """Reference for the stacked one-vs-all run: the per-class loop it
+    replaced, class k against the rest as its own (1, M+1) FISTA solve.
+    Returns the summed binary objective and the per-class loss functions."""
+    lam = cfg.lam
+    gamma = 1.0 / (2.0 * lam * features_aug_norm(ds).value ** 2)
+    losses, total = [], 0.0
+    for k in range(ds.n_classes):
+        sign = np.where(ds.labels == k, 1.0, -1.0)
+
+        def loss_grad(xb, sign=sign):
+            s = ds.features @ xb[0, :-1] + xb[0, -1]
+            gap = np.maximum(ds.margins - sign * s, 0.0)
+            coeff = -2.0 * lam * sign * gap
+            gw = np.asarray(ds.features.T @ coeff).ravel()
+            return lam * float((gap ** 2).sum()), np.append(gw, coeff.sum())[None, :]
+
+        xb, _, converged, _, _ = _fista(np.zeros((1, ds.n_features + 1)),
+                                        loss_grad, spec, gamma, cfg)
+        assert converged
+        total += loss_grad(xb)[0] + regularizer_value(xb, spec)
+        losses.append(loss_grad)
+    return total, losses
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("kind", ["l1", "l12", "l2sq"])
+def test_one_vs_all_matches_per_class_solves(kind, seed):
+    ds = tiny_dataset(seed)
+    blocks = BlockStructure.contiguous(ds.n_features, 2) if kind == "l12" else None
+    spec = RegularizerSpec(kind, blocks)
+    cfg = SolverConfig(lam=1.0, **TIGHT)
+    reference, losses = _per_class_one_vs_all(ds, spec, cfg)
+    rep = solve_one_vs_all(ds, spec, cfg)
+    assert rep.converged
+    x = rep.model.augmented()
+    stacked = sum(f(x[k:k + 1])[0] for k, f in enumerate(losses)) + regularizer_value(x, spec)
+    assert stacked == pytest.approx(reference, rel=1e-8)
+
+
 def test_one_vs_all_rejects_cross_class_groups(rng):
-    from sparsemsvm.model import BlockStructure
     ds = random_dataset(rng, L=4, M=4, K=2)
     blocks = BlockStructure.contiguous(4, 2, mode="cross-class")
     with pytest.raises(ValueError):
@@ -253,10 +295,7 @@ def test_prediction_invariant_to_common_offset_shift(name, rng):
     np.testing.assert_array_equal(predict(shifted, probe), base)
 
 
-DRIVEN_SOLVERS = ["fbpd-reg", "fbpd-con", "fista-square", "fb-logit"]
-
-
-@pytest.mark.parametrize("name", DRIVEN_SOLVERS)
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_history_recording(name):
     ds = tiny_dataset(5)
     rep = SOLVERS[name](ds, RegularizerSpec("l1"),
@@ -267,7 +306,7 @@ def test_history_recording(name):
         assert len(rep.history[key]) == rep.iterations
 
 
-@pytest.mark.parametrize("name", DRIVEN_SOLVERS)
+@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_callback_sees_every_iteration(name):
     ds = tiny_dataset(5)
     seen = []
