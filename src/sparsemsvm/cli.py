@@ -5,7 +5,8 @@ Exit codes: 0 on success, 2 when a solve finished without reaching the
 stopping tolerance (results are still written), 1 on data or file errors
 and on a diverged solve (a sweep still writes every row, with `nan` means
 for the alpha that diverged), 2 on usage errors (argparse convention),
-among them an `--alpha` or `--alphas` entry that is not a finite number > 0.
+among them an `--alpha` or `--alphas` entry that is not a finite number > 0
+and a `--repeats` that is not an integer >= 1.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def _alpha(text):
 def _alphas(text):
     """argparse type of `--alphas`: comma-separated `_alpha` values."""
     return [_alpha(a) for a in text.split(",") if a]
+
+
+def _repeats(text):
+    """argparse type of `--repeats`: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"repeats must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _block_size(arg):
@@ -325,7 +337,7 @@ def build_parser():
     _solver_args(p)
     p.add_argument("--test", default=None, help="fixed test set (defaults to held-out samples)")
     p.add_argument("--alphas", type=_alphas, default=DEFAULT_ALPHAS)
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_repeats, default=1)
     p.add_argument("--train-per-class", type=int, default=None)
     p.add_argument("--threshold", type=float, default=1e-5)
     p.add_argument("--timing", action="store_true",

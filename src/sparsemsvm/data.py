@@ -138,17 +138,45 @@ class StandardizeStats:
 
 def standardize(dataset: Dataset):
     """Per-feature mean/variance normalization; zero-variance features are
-    only centered. Returns the transformed dataset and the stats, which can
-    be replayed on held-out data with `apply_standardize`."""
-    feats = dataset.dense_features()
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
+    only centered. Sparse (CSR) features are scaled but not centered, so
+    they stay sparse: their stats hold a mean of 0. Returns the transformed
+    dataset and the stats, which can be replayed on held-out data with
+    `apply_standardize`."""
+    if sp.issparse(dataset.features):
+        X = sp.csr_matrix(dataset.features, copy=True)
+        X.sum_duplicates()
+        n, M = X.shape
+        mean = np.asarray(X.sum(axis=0)).ravel() / n
+        # squared deviations of the stored entries plus those of the
+        # implicit zeros, without densifying
+        dev = X.data - mean[X.indices]
+        implicit = n - np.bincount(X.indices, minlength=M)
+        std = np.sqrt((np.bincount(X.indices, weights=dev * dev, minlength=M)
+                       + implicit * mean ** 2) / n)
+        # a constant column has zero variance even when its mean rounds
+        spread = (X.max(axis=0) - X.min(axis=0)).toarray().ravel()
+        std = np.where(spread > 0, std, 0.0)
+        mean = np.zeros(M)
+    else:
+        feats = dataset.features
+        mean = feats.mean(axis=0)
+        std = feats.std(axis=0)
     stats = StandardizeStats(mean, np.where(std > 0, std, 1.0))
     return apply_standardize(dataset, stats), stats
 
 
 def apply_standardize(dataset: Dataset, stats: StandardizeStats) -> Dataset:
-    feats = (dataset.dense_features() - stats.mean) / stats.scale
+    """Replay `stats` on a dataset. Sparse features stay sparse when the
+    stats hold a zero mean (scale only); otherwise they are densified and
+    centered."""
+    if stats.scale.shape != (dataset.n_features,):
+        raise ValueError(f"standardize stats cover {stats.scale.size} features, "
+                         f"the data has {dataset.n_features}")
+    if sp.issparse(dataset.features) and not np.any(stats.mean):
+        feats = sp.csr_matrix(dataset.features, copy=True)
+        feats.data /= stats.scale[feats.indices]
+    else:
+        feats = (dataset.dense_features() - stats.mean) / stats.scale
     return Dataset(feats, dataset.labels, dataset.n_classes, dataset.margins)
 
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from .linop import _apply_T_aug
 from .model import Dataset, ModelVector, RegularizerSpec, make_margin_offsets
-from .prox import _group_row_batches, regularizer_value
+from .prox import _group_rows, regularizer_value
 
 NONZERO_THRESHOLD = 1e-5
 
@@ -67,7 +67,7 @@ def count_nonzero_groups(model: ModelVector, spec: RegularizerSpec,
     if spec.blocks is None:
         raise ValueError("group counting needs a block structure")
     return int(sum((np.abs(rows) > threshold).any(axis=1).sum()
-                   for rows, _ in _group_row_batches(model.weights, spec.blocks)))
+                   for rows in _group_rows(model.weights, spec.blocks)))
 
 
 def hinge_sum(x: ModelVector | np.ndarray, dataset: Dataset):

@@ -3,7 +3,10 @@ structures, margin offsets and the multiclass hinge function."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -200,6 +203,21 @@ class Dataset:
                        self.margins[idx])
 
 
+class GroupLayout(NamedTuple):
+    """Where the groups of a BlockStructure sit in one feature permutation.
+
+    `perm` concatenates the groups, those of equal size next to each other
+    (sizes in order of first appearance, which fixes the order in which
+    per-size sums are added; groups in their given order), or is None when
+    that concatenation is the identity, as for `BlockStructure.contiguous`. `runs` holds one
+    (lo, hi, size, count) tuple per distinct size: its `count` groups of
+    `size` features fill positions lo:hi of `perm`.
+    """
+
+    perm: np.ndarray | None
+    runs: tuple
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Partition of the M weight indices into B disjoint groups.
@@ -233,6 +251,23 @@ class BlockStructure:
     @property
     def n_groups(self):
         return len(self.groups)
+
+    @cached_property
+    def layout(self) -> GroupLayout:
+        """The GroupLayout, built on first use and kept on the instance."""
+        counts = Counter(g.size for g in self.groups)
+        rank = {size: r for r, size in enumerate(counts)}
+        order = sorted(range(self.n_groups), key=lambda i: rank[self.groups[i].size])
+        perm = np.concatenate([self.groups[i] for i in order] or [np.empty(0, np.int64)])
+        runs, lo = [], 0
+        for size, count in counts.items():
+            runs.append((lo, lo + size * count, size, count))
+            lo += size * count
+        if np.array_equal(perm, np.arange(perm.size)):
+            perm = None
+        else:
+            perm.setflags(write=False)
+        return GroupLayout(perm, tuple(runs))
 
     def validate(self, n_features):
         """Check the groups are disjoint and cover exactly {0..M-1}."""

@@ -149,30 +149,44 @@ def _soft_threshold(w, t):
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
-def _group_row_batches(W, blocks):
-    """View the groups of the (K, M) weight matrix as batches of equal-length
-    rows, one batch per distinct group size.
+def _group_rows(W, blocks):
+    """The groups of the (K, M) weight matrix as batches of equal-length
+    rows, one (n, s) batch per run of `blocks.layout`.
 
-    Yields (rows, put) pairs where `rows` is an (n, s) array holding one
-    group per row and `put(new_rows)` scatters a replacement back into a
-    copy-safe buffer. Batching keeps the per-group work vectorized.
+    One gather through the layout's permutation (none when it is the
+    identity) and one reshape per run: a per-class batch holds K*count
+    rows of `size`, a cross-class batch joins the K class rows of each
+    group into count rows of K*size.
     """
-    buckets = {}
-    for g in blocks.groups:
-        buckets.setdefault(g.size, []).append(g)
-    for size, gs in buckets.items():
-        idx = np.vstack(gs)  # (B_s, size)
+    perm, runs = blocks.layout
+    K = W.shape[0]
+    # np.take keeps the gathered rows row-major (W[:, perm] would not), so
+    # every group row is reduced over contiguous memory, in one order
+    Wp = W if perm is None else np.take(W, perm, axis=1)
+    batches = []
+    for lo, hi, size, count in runs:
+        block = Wp[:, lo:hi]
         if blocks.mode == "per-class":
-            rows = W[:, idx].reshape(-1, size)  # (K*B_s, size)
+            batches.append(block.reshape(K * count, size))
+        else:
+            batches.append(block.reshape(K, count, size).transpose(1, 0, 2)
+                           .reshape(count, K * size))
+    return batches
 
-            def put(new, idx=idx, size=size):
-                W[:, idx] = new.reshape(W.shape[0], -1, size)
-        else:  # cross-class: a group joins all K class rows over its features
-            rows = W[:, idx].transpose(1, 0, 2).reshape(len(gs), -1)
 
-            def put(new, idx=idx, size=size, n=len(gs)):
-                W[:, idx] = new.reshape(n, W.shape[0], size).transpose(1, 0, 2)
-        yield rows, put
+def _ungroup_rows(batches, blocks, out):
+    """Inverse of `_group_rows`: write the batches back into the (K, M)
+    array `out` in place; features outside every group keep their value."""
+    perm, runs = blocks.layout
+    K = out.shape[0]
+    Wp = out if perm is None else np.empty((K, perm.size))
+    for rows, (lo, hi, size, count) in zip(batches, runs):
+        if blocks.mode == "cross-class":
+            rows = rows.reshape(count, K, size).transpose(1, 0, 2)
+        Wp[:, lo:hi] = rows.reshape(K, count * size)
+    if perm is not None:
+        out[:, perm] = Wp
+    return out
 
 
 def _block_soft_threshold_rows(rows, step):
@@ -197,13 +211,9 @@ def _prox_weights(W, spec, step):
         return _soft_threshold(W, step)
     if spec.kind == "l2sq":
         return W / (1.0 + 2.0 * step)
-    out = W.copy()
-    for rows, put in _group_row_batches(out, spec.blocks):
-        if spec.kind == "l12":
-            put(_block_soft_threshold_rows(rows, step))
-        else:
-            put(_linf_prox_rows(rows, step))
-    return out
+    prox_rows = _block_soft_threshold_rows if spec.kind == "l12" else _linf_prox_rows
+    batches = [prox_rows(rows, step) for rows in _group_rows(W, spec.blocks)]
+    return _ungroup_rows(batches, spec.blocks, W.copy())
 
 
 def prox_regularizer(x: ModelVector, spec: RegularizerSpec, step: float) -> ModelVector:
@@ -235,7 +245,7 @@ def regularizer_value(x: ModelVector | np.ndarray, spec: RegularizerSpec) -> flo
     if spec.kind == "l2sq":
         return float((W ** 2).sum())
     total = 0.0
-    for rows, _ in _group_row_batches(W, spec.blocks):
+    for rows in _group_rows(W, spec.blocks):
         if spec.kind == "l12":
             total += np.linalg.norm(rows, axis=1).sum()
         else:

@@ -295,6 +295,18 @@ class TestSweep:
         assert "alpha must be a finite number > 0, got '0'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5", "two"])
+    def test_repeats_below_one_is_usage_error(self, synthetic_files, capsys, value):
+        train_p, test_p = synthetic_files
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", train_p, "--test", test_p,
+                  "--solver", "fista-square", "--alphas", "1", "--repeats", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repeats must be an integer >= 1, got {value!r}" in captured.err
+
+
 class TestBench:
     def test_distance_curve_and_determinism(self, synthetic_files, tmp_path, capsys):
         train_p, _ = synthetic_files

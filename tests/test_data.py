@@ -8,7 +8,7 @@ from sparsemsvm.data import (DataFormatError, apply_standardize, load_dense_csv,
                              save_sparse_svmlight, save_standardize_stats,
                              split, standardize)
 from sparsemsvm.evaluate import predict
-from sparsemsvm.model import RegularizerSpec
+from sparsemsvm.model import Dataset, RegularizerSpec
 from sparsemsvm.solvers import SolverConfig, solve_regularized_fbpd
 
 
@@ -144,6 +144,42 @@ class TestStandardize:
         loaded = load_standardize_stats(p)
         np.testing.assert_array_equal(loaded.mean, stats.mean)
         np.testing.assert_array_equal(loaded.scale, stats.scale)
+
+    def test_sparse_scaled_not_centered(self, rng):
+        X = rng.standard_normal((30, 6)) * 2 + 0.5
+        X[rng.random(X.shape) < 0.6] = 0.0
+        X[:, 2] = 0.0  # all-zero column keeps scale 1
+        X[:, 4] = 0.1  # constant, with a mean that does not round to 0.1
+        ds = Dataset.from_arrays(sp.csr_matrix(X), rng.integers(0, 2, 30), n_classes=2)
+        out, stats = standardize(ds)
+        assert sp.issparse(out.features)
+        assert out.features.nnz == ds.features.nnz
+        np.testing.assert_array_equal(stats.mean, 0.0)
+        scale = np.where(np.ptp(X, axis=0) > 0, X.std(axis=0), 1.0)
+        np.testing.assert_allclose(stats.scale, scale, rtol=1e-12)
+        assert stats.scale[2] == stats.scale[4] == 1.0
+        np.testing.assert_allclose(out.dense_features(), X / scale, rtol=1e-12)
+
+        Y = rng.standard_normal((5, 6))
+        Y[rng.random(Y.shape) < 0.5] = 0.0
+        test = Dataset.from_arrays(sp.csr_matrix(Y), rng.integers(0, 2, 5), n_classes=2)
+        replayed = apply_standardize(test, stats)
+        assert sp.issparse(replayed.features)
+        np.testing.assert_array_equal(replayed.dense_features(), Y / stats.scale)
+
+    def test_sparse_replay_of_centering_stats_densifies(self, rng):
+        X = rng.standard_normal((8, 3)) + 2.0
+        _, stats = standardize(Dataset.from_arrays(X, rng.integers(0, 2, 8), n_classes=2))
+        Y = sp.csr_matrix(rng.standard_normal((4, 3)))
+        out = apply_standardize(Dataset.from_arrays(Y, [0, 1, 0, 1], n_classes=2), stats)
+        assert not sp.issparse(out.features)
+        np.testing.assert_array_equal(out.features, (Y.toarray() - stats.mean) / stats.scale)
+
+    def test_stats_feature_count_must_match(self, rng):
+        _, stats = standardize(Dataset.from_arrays(rng.standard_normal((4, 3)), [0, 1, 0, 1]))
+        for feats in (rng.standard_normal((2, 4)), sp.csr_matrix(rng.standard_normal((2, 1)))):
+            with pytest.raises(ValueError, match="stats cover 3 features"):
+                apply_standardize(Dataset.from_arrays(feats, [0, 1]), stats)
 
 
 class TestSynthetic:

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from sparsemsvm.evaluate import count_nonzero_groups
 from sparsemsvm.model import BlockStructure, ModelVector, RegularizerSpec
 from sparsemsvm.prox import (project_epigraph_max,
                              project_epigraph_max_rows, project_halfspace_sum,
                              project_l1_ball, project_simplex,
                              project_simplex_rows, prox_hinge_max,
                              prox_hinge_max_rows, prox_regularizer,
-                             regularizer_value)
+                             prox_regularizer_aug, regularizer_value)
 
 finite_vec = lambda n_max: hnp.arrays(
     np.float64, st.integers(1, n_max),
@@ -260,6 +261,116 @@ def _model(weights, offsets=None):
     return ModelVector(W, np.zeros(W.shape[0]) if offsets is None else offsets)
 
 
+def _permuted_blocks(rng, M, mode, max_groups=8):
+    """A random partition of a random permutation of the M features."""
+    n_cuts = min(M - 1, int(rng.integers(1, max_groups)))
+    cuts = np.sort(rng.choice(np.arange(1, M), size=n_cuts, replace=False))
+    return BlockStructure(tuple(np.split(rng.permutation(M), cuts)), mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# per-group reference: one group at a time, no layout
+
+def _reference_rows(W, blocks):
+    """(group index, class or None, row) for every group row, in the order
+    the prox batches them: class-major for per-class groups, one row over
+    all classes for cross-class groups."""
+    if blocks.mode == "per-class":
+        for k in range(W.shape[0]):
+            for i, g in enumerate(blocks.groups):
+                yield i, k, W[k, g]
+    else:
+        for i, g in enumerate(blocks.groups):
+            yield i, None, W[:, g].ravel()
+
+
+def _reference_prox(W, kind, blocks, step):
+    out = W.copy()
+    for i, k, w in _reference_rows(W, blocks):
+        if kind == "l12":
+            norm = np.sqrt(np.sum(w * w))
+            new = w * max(1.0 - (step / norm if norm > 0 else 0.0), 0.0)
+        else:  # Moreau: prox of step*||.||_inf is w - P_{l1 ball radius step}(w)
+            new = w - project_l1_ball(w, step)
+        g = blocks.groups[i]
+        if k is None:
+            out[:, g] = new.reshape(W.shape[0], g.size)
+        else:
+            out[k, g] = new
+    return out
+
+
+def _reference_value(W, kind, blocks):
+    # per-group values summed per group size, sizes in order of first
+    # appearance: the summation order of regularizer_value (floating-point
+    # addition is not associative, so bit-equality needs the same order)
+    by_size = {}
+    for _, _, w in _reference_rows(W, blocks):
+        v = np.sqrt(np.sum(w * w)) if kind == "l12" else np.max(np.abs(w))
+        by_size.setdefault(w.size, []).append(v)
+    return float(sum(np.sum(vals) for vals in by_size.values()))
+
+
+def _reference_nonzero_groups(W, blocks, threshold):
+    return sum(bool(np.any(np.abs(w) > threshold)) for _, _, w in _reference_rows(W, blocks))
+
+
+def _three_kinds_of_groups(rng, M, mode):
+    sizes = [9, 3, 1, 3, 5, 3, 1, 3, 2, 3, 3, 3, 3, 3]  # M = 45; one size-9 group
+    assert sum(sizes) == M
+    cuts = np.cumsum(sizes)[:-1]
+    return {
+        "contiguous-tail": BlockStructure.contiguous(M, 4, mode=mode),
+        "permuted": _permuted_blocks(rng, M, mode, max_groups=12),
+        "mixed-sizes": BlockStructure(tuple(np.split(rng.permutation(M), cuts)), mode=mode),
+    }
+
+
+@pytest.mark.parametrize("kind", ["l12", "l1inf"])
+@pytest.mark.parametrize("mode", ["per-class", "cross-class"])
+def test_group_layout_matches_per_group_reference(rng, kind, mode):
+    K, M = 3, 45
+    for _ in range(10):
+        for name, blocks in _three_kinds_of_groups(rng, M, mode).items():
+            spec = RegularizerSpec(kind, blocks)
+            aug = rng.standard_normal((K, M + 1)) * rng.uniform(0.2, 2.0)
+            step = rng.uniform(0.1, 1.5)
+            W = aug[:, :-1]
+            out = prox_regularizer(ModelVector.from_augmented(aug), spec, step)
+            np.testing.assert_array_equal(out.weights, _reference_prox(W, kind, blocks, step),
+                                          err_msg=name)
+            np.testing.assert_array_equal(prox_regularizer_aug(aug, spec, step)[:, :-1],
+                                          out.weights, err_msg=name)
+            assert regularizer_value(aug, spec) == _reference_value(W, kind, blocks), name
+            assert (regularizer_value(out, spec)
+                    == _reference_value(out.weights, kind, blocks)), name
+            assert (count_nonzero_groups(out, spec, 1e-5)
+                    == _reference_nonzero_groups(out.weights, blocks, 1e-5)), name
+
+
+class TestGroupLayout:
+    def test_contiguous_is_identity(self):
+        layout = BlockStructure.contiguous(10, 3).layout
+        assert layout.perm is None
+        assert layout.runs == ((0, 9, 3, 3), (9, 10, 1, 1))
+
+    def test_permuted_partition(self):
+        blocks = BlockStructure(([4, 0], [2, 1, 3], [5, 6]))
+        perm, runs = blocks.layout
+        np.testing.assert_array_equal(perm, [4, 0, 5, 6, 2, 1, 3])
+        assert runs == ((0, 4, 2, 2), (4, 7, 3, 1))
+
+    def test_layout_built_once(self, rng):
+        blocks = _permuted_blocks(rng, 12, "per-class")
+        spec = RegularizerSpec("l1inf", blocks)
+        aug = rng.standard_normal((2, 13))
+        prox_regularizer_aug(aug, spec, 0.5)
+        first = blocks.__dict__["layout"]
+        prox_regularizer_aug(aug, spec, 0.5)
+        assert blocks.layout is first
+        assert blocks.layout is blocks.layout
+
+
 class TestRegularizerProx:
     def test_l1_soft_threshold(self):
         m = _model([[3.0, 0.5, -2.0]], offsets=np.array([4.0]))
@@ -295,9 +406,12 @@ class TestRegularizerProx:
     @pytest.mark.parametrize("kind", ["l1", "l12", "l1inf", "l2sq"])
     @pytest.mark.parametrize("mode", ["per-class", "cross-class"])
     def test_prox_inequality_all_branches(self, rng, kind, mode, n_instances=50):
-        for _ in range(n_instances):
+        for i in range(n_instances):
             K, M = int(rng.integers(1, 4)), int(rng.integers(2, 7))
-            blocks = BlockStructure.contiguous(M, int(rng.integers(1, 4)), mode=mode)
+            if i % 2:
+                blocks = _permuted_blocks(rng, M, mode)
+            else:
+                blocks = BlockStructure.contiguous(M, int(rng.integers(1, 4)), mode=mode)
             spec = RegularizerSpec(kind, blocks)
             W = rng.uniform(-3, 3, (K, M))
             step = rng.uniform(0.1, 2.0)
