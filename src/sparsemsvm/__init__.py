@@ -1,7 +1,7 @@
 """Sparse multiclass SVM training with exact-hinge primal-dual solvers."""
 
 from .model import (BlockStructure, Dataset, ModelVector, RegularizerSpec,
-                    Sample, make_margin_offsets, multiclass_hinge)
+                    make_margin_offsets)
 from .solvers import SolveReport, SolverConfig, SOLVERS
 
 __all__ = [
@@ -9,9 +9,7 @@ __all__ = [
     "Dataset",
     "ModelVector",
     "RegularizerSpec",
-    "Sample",
     "make_margin_offsets",
-    "multiclass_hinge",
     "SolverConfig",
     "SolveReport",
     "SOLVERS",

@@ -6,7 +6,7 @@ stopping tolerance (results are still written), 1 on data or file errors
 and on a diverged solve (a sweep still writes every row, with `nan` means
 for the alpha that diverged), 2 on usage errors (argparse convention),
 among them an `--alpha` or `--alphas` entry that is not a finite number > 0
-and a `--repeats` that is not an integer >= 1.
+and a `--repeats` or `--train-per-class` that is not an integer >= 1.
 """
 
 from __future__ import annotations
@@ -51,15 +51,18 @@ def _alphas(text):
     return [_alpha(a) for a in text.split(",") if a]
 
 
-def _repeats(text):
-    """argparse type of `--repeats`: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"repeats must be an integer >= 1, got {text!r}")
-    return value
+def _count(name):
+    """argparse type of a count option such as `--repeats`: an integer >= 1;
+    `name` leads its error message."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= 1, got {text!r}")
+        return value
+    return parse
 
 
 def _block_size(arg):
@@ -101,7 +104,8 @@ def _build_config(args, dataset, norm_T=None):
 
 
 def _solver_args(p):
-    p.add_argument("--solver", required=True, choices=sorted(SOLVERS))
+    """The problem and stopping options that train, sweep and bench share;
+    train and sweep add `--solver`, bench `--solvers`."""
     p.add_argument("--reg", default="l1", choices=["l1", "l12", "l1inf", "l2sq"])
     p.add_argument("--blocks", default="1",
                    help="group size for mixed norms, or a file of 1-based index groups")
@@ -317,6 +321,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a classifier and persist the model")
     _data_args(p)
+    p.add_argument("--solver", required=True, choices=sorted(SOLVERS))
     _solver_args(p)
     p.add_argument("--alpha", type=_alpha, required=True,
                    help="sweep parameter: lam = 1/alpha, or eta = alpha*L for fbpd-con")
@@ -334,11 +339,12 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="alpha grid with repeated stratified subsets")
     _data_args(p)
+    p.add_argument("--solver", required=True, choices=sorted(SOLVERS))
     _solver_args(p)
     p.add_argument("--test", default=None, help="fixed test set (defaults to held-out samples)")
     p.add_argument("--alphas", type=_alphas, default=DEFAULT_ALPHAS)
-    p.add_argument("--repeats", type=_repeats, default=1)
-    p.add_argument("--train-per-class", type=int, default=None)
+    p.add_argument("--repeats", type=_count("repeats"), default=1)
+    p.add_argument("--train-per-class", type=_count("train-per-class"), default=None)
     p.add_argument("--threshold", type=float, default=1e-5)
     p.add_argument("--timing", action="store_true",
                    help="append a wall-time column (breaks byte-for-byte reproducibility)")
@@ -348,15 +354,10 @@ def build_parser():
     p = sub.add_parser("bench", help="distance-to-reference convergence curves")
     _data_args(p)
     p.add_argument("--solvers", default=",".join(sorted(SOLVERS)))
-    p.add_argument("--reg", default="l1", choices=["l1", "l12", "l1inf", "l2sq"])
-    p.add_argument("--blocks", default="1")
-    p.add_argument("--group", default="per-class", choices=["per-class", "cross-class"])
+    _solver_args(p)
     p.add_argument("--alpha", type=_alpha, required=True)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--ref-tol-factor", type=float, default=1e-2,
                    help="reference run stops at tol times this factor")
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_bench)

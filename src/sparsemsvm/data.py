@@ -153,14 +153,17 @@ def standardize(dataset: Dataset):
         implicit = n - np.bincount(X.indices, minlength=M)
         std = np.sqrt((np.bincount(X.indices, weights=dev * dev, minlength=M)
                        + implicit * mean ** 2) / n)
-        # a constant column has zero variance even when its mean rounds
         spread = (X.max(axis=0) - X.min(axis=0)).toarray().ravel()
-        std = np.where(spread > 0, std, 0.0)
         mean = np.zeros(M)
     else:
         feats = dataset.features
-        mean = feats.mean(axis=0)
+        lo = feats.min(axis=0)
+        spread = feats.max(axis=0) - lo
+        # a constant column is centered on its value: its mean may round off it
+        mean = np.where(spread > 0, feats.mean(axis=0), lo)
         std = feats.std(axis=0)
+    # a constant column has zero variance even when its mean rounds
+    std = np.where(spread > 0, std, 0.0)
     stats = StandardizeStats(mean, np.where(std > 0, std, 1.0))
     return apply_standardize(dataset, stats), stats
 
@@ -225,6 +228,8 @@ def split(dataset: Dataset, train_fraction=None, per_class=None, seed=0):
         members = np.flatnonzero(dataset.labels == k)
         if per_class is not None:
             take = int(per_class)
+            if take < 0:
+                raise ValueError(f"per_class must be >= 0, got {take}")
             if take > members.size:
                 raise ValueError(f"class {k + 1} has only {members.size} samples, need {take}")
         else:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import Dataset, ModelVector
+from .model import Dataset
 
 
 class NormEstimate(NamedTuple):
@@ -32,6 +32,9 @@ def _scores_aug(x_aug, dataset):
 
 
 def _apply_T_aug(x_aug, dataset):
+    """Margins y(l, k) = phi~(u_l)^T (x^(k) - x^(z_l)) of the (K, M+1)
+    augmented array x_aug, as an (L, K) array whose column z_l of row l is
+    exactly zero."""
     scores = _scores_aug(x_aug, dataset)
     own = scores[np.arange(dataset.n_samples), dataset.labels]
     # own-class column is an exact 0: identical floats subtracted
@@ -39,6 +42,9 @@ def _apply_T_aug(x_aug, dataset):
 
 
 def _apply_T_adjoint_aug(y, dataset):
+    """Adjoint of `_apply_T_aug` at an (L, K) array y: row k of the (K, M+1)
+    result accumulates sum_l [y(l,k) - delta_{k=z_l} sum_j y(l,j)] * phi~(u_l),
+    the appended constant of phi~ making the offsets accumulate too."""
     row_sums = y.sum(axis=1)
     y_eff = y.copy()
     y_eff[np.arange(dataset.n_samples), dataset.labels] -= row_sums
@@ -47,29 +53,6 @@ def _apply_T_adjoint_aug(y, dataset):
         W = np.asarray(W)
     b = y_eff.sum(axis=0)
     return np.hstack([W, b[:, None]])
-
-
-def apply_T(x: ModelVector, dataset: Dataset):
-    """Margin vector y with y(l, k) = phi~(u_l)^T (x^(k) - x^(z_l)).
-
-    Returns an (L, K) array, row-major by sample; column z_l of row l is
-    exactly zero.
-    """
-    if x.n_features != dataset.n_features or x.n_classes != dataset.n_classes:
-        raise ValueError("model and dataset dimensions do not agree")
-    return _apply_T_aug(x.augmented(), dataset)
-
-
-def apply_T_adjoint(y, dataset: Dataset):
-    """Adjoint map: class block k accumulates
-    sum_l [y(l,k) - delta_{k=z_l} sum_j y(l,j)] * phi~(u_l).
-
-    The appended constant of phi~ makes the offsets accumulate too.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (dataset.n_samples, dataset.n_classes):
-        raise ValueError("margin vector shape must be (L, K)")
-    return ModelVector.from_augmented(_apply_T_adjoint_aug(y, dataset))
 
 
 def _power_iteration(matvec, rmatvec, v0, tol, max_iter):

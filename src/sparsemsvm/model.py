@@ -1,5 +1,5 @@
 """Domain types shared by all modules: parameter vectors, datasets, block
-structures, margin offsets and the multiclass hinge function."""
+structures and margin offsets."""
 
 from __future__ import annotations
 
@@ -73,35 +73,8 @@ class ModelVector:
         return cls(weights=aug[:, :-1].copy(), offsets=aug[:, -1].copy())
 
     @classmethod
-    def from_ravel(cls, flat, n_classes, n_features):
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != n_classes * (n_features + 1):
-            raise ValueError("flat vector length does not match K*(M+1)")
-        return cls.from_augmented(flat.reshape(n_classes, n_features + 1))
-
-    @classmethod
     def zeros(cls, n_classes, n_features):
         return cls(np.zeros((n_classes, n_features)), np.zeros(n_classes))
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training pair: an already feature-mapped input, a 1-based class
-    label and a positive margin (default 1)."""
-
-    features: np.ndarray
-    label: int
-    margin: float = 1.0
-
-    def __post_init__(self):
-        f = _readonly(self.features)
-        if f.ndim != 1:
-            raise ValueError("sample features must be one-dimensional")
-        if self.label < 1:
-            raise ValueError(f"labels are 1-based, got {self.label}")
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
-        object.__setattr__(self, "features", f)
 
 
 @dataclass(frozen=True)
@@ -162,20 +135,6 @@ class Dataset:
             margins = np.ones(L)
         return cls(features, labels, int(n_classes), np.asarray(margins, dtype=np.float64))
 
-    @classmethod
-    def from_samples(cls, samples, n_classes=None):
-        samples = list(samples)
-        if not samples:
-            raise ValueError("a dataset needs at least one sample")
-        M = samples[0].features.shape[0]
-        if any(s.features.shape[0] != M for s in samples):
-            raise ValueError("all samples must share the same feature dimension")
-        feats = np.vstack([s.features for s in samples])
-        labels = np.array([s.label for s in samples])
-        margins = np.array([s.margin for s in samples])
-        return cls.from_arrays(feats, labels, n_classes=n_classes, margins=margins,
-                               one_based=True)
-
     @property
     def n_samples(self):
         return self.features.shape[0]
@@ -183,13 +142,6 @@ class Dataset:
     @property
     def n_features(self):
         return self.features.shape[1]
-
-    def sample(self, i):
-        """Return sample i with its external 1-based label."""
-        row = self.features[i]
-        if sp.issparse(row):
-            row = np.asarray(row.todense()).ravel()
-        return Sample(np.array(row), int(self.labels[i]) + 1, float(self.margins[i]))
 
     def dense_features(self):
         if sp.issparse(self.features):
@@ -313,17 +265,3 @@ def make_margin_offsets(dataset):
     r[np.arange(L), dataset.labels] = 0.0
     return r
 
-
-def multiclass_hinge(y_block, r_block):
-    """Margin violation of one sample: max_k (y^(k) + r^(k)).
-
-    Applied to y = T_l x this equals max{0, mu_l + max_{k != z_l}
-    score-gap}, the component at the true class contributing the zero.
-    """
-    y = np.asarray(y_block, dtype=np.float64)
-    r = np.asarray(r_block, dtype=np.float64)
-    if y.shape != r.shape or y.ndim != 1:
-        raise ValueError("y_block and r_block must be 1-d of equal length")
-    if y.size == 0:
-        raise ValueError("need at least one class")
-    return float(np.max(y + r))

@@ -1,21 +1,12 @@
-"""Proximity operators and projections: scaled simplex, max-hinge prox,
-epigraphical projection, half-space, l1 ball, and the regularizer proxes."""
+"""Proximity operators and projections, all row-wise: scaled simplex,
+l1 ball, epigraphical projection, plus the half-space projection and the
+regularizer proxes on the (K, M+1) augmented array."""
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import ModelVector, RegularizerSpec
-
-
-class EpiProjResult(NamedTuple):
-    """Projection onto the epigraph of a max-hinge function: the projected
-    point (K reals) and its height."""
-
-    point: np.ndarray
-    height: float
 
 
 # ---------------------------------------------------------------------------
@@ -43,37 +34,23 @@ def project_simplex_rows(U, radius):
     return np.maximum(U - theta[:, None], 0.0)
 
 
-def project_simplex(u, radius):
-    """Euclidean projection of a single vector onto {v >= 0 : sum(v) = radius}."""
-    u = np.asarray(u, dtype=np.float64)
-    return project_simplex_rows(u[None, :], radius)[0]
-
-
-def project_l1_ball(v, radius):
-    """Euclidean projection onto the l1 ball {w : sum |w_i| <= radius}."""
+def project_l1_ball_rows(V, radius):
+    """Row-wise Euclidean projection onto the l1 ball {w : sum |w_i| <= radius};
+    rows already inside pass through unchanged."""
     if not radius > 0:
         raise ValueError("l1-ball radius must be positive")
-    v = np.asarray(v, dtype=np.float64)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    return np.sign(v) * project_simplex(a, radius)
+    V = np.atleast_2d(np.asarray(V, dtype=np.float64))
+    # row numbers, not a boolean mask: integer gathers of the rows are cheaper
+    over = np.flatnonzero(np.abs(V).sum(axis=1) > radius)
+    out = V.copy()
+    if over.size:
+        w = V[over]
+        out[over] = np.sign(w) * project_simplex_rows(np.abs(w), radius)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# max-hinge prox and epigraphical projection
-
-def prox_hinge_max(y_block, r_block, scale):
-    """prox of scale * max_k(. + r) at y_block: y - P_{S_scale}(y + r)."""
-    y = np.asarray(y_block, dtype=np.float64)
-    r = np.asarray(r_block, dtype=np.float64)
-    return y - project_simplex(y + r, scale)
-
-
-def prox_hinge_max_rows(Y, R, scale):
-    """Blockwise `prox_hinge_max` over the rows of (L, K) arrays."""
-    return Y - project_simplex_rows(Y + R, scale)
-
+# epigraphical projection
 
 def project_epigraph_max_rows(Y, R, heights):
     """Row-wise projection onto the epigraphs of y -> max_k(y^(k) + r^(k)).
@@ -117,15 +94,6 @@ def project_epigraph_max_rows(Y, R, heights):
     theta = np.where(inside, heights, theta)
     P = np.where(inside[:, None], Y, np.minimum(Y, theta[:, None] - R))
     return P, theta
-
-
-def project_epigraph_max(y_block, r_block, height):
-    """Projection of (y_block, height) onto the epigraph of
-    y -> max_k(y^(k) + r^(k)); total function, identity inside the set."""
-    y = np.asarray(y_block, dtype=np.float64)
-    r = np.asarray(r_block, dtype=np.float64)
-    P, theta = project_epigraph_max_rows(y[None, :], r[None, :], [height])
-    return EpiProjResult(P[0], float(theta[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +166,7 @@ def _block_soft_threshold_rows(rows, step):
 
 def _linf_prox_rows(rows, step):
     """prox of step*||.||_inf per row: w - P_{l1 ball radius step}(w)."""
-    out = np.zeros_like(rows)
-    over = np.abs(rows).sum(axis=1) > step  # feasible rows collapse to 0
-    if np.any(over):
-        w = rows[over]
-        out[over] = w - np.sign(w) * project_simplex_rows(np.abs(w), step)
-    return out
+    return rows - project_l1_ball_rows(rows, step)
 
 
 def _prox_weights(W, spec, step):
@@ -216,21 +179,18 @@ def _prox_weights(W, spec, step):
     return _ungroup_rows(batches, spec.blocks, W.copy())
 
 
-def prox_regularizer(x: ModelVector, spec: RegularizerSpec, step: float) -> ModelVector:
-    """prox of step * g at x; offsets pass through untouched.
+def prox_regularizer_aug(x_aug, spec: RegularizerSpec, step: float):
+    """prox of step * g at the (K, M+1) augmented array x_aug; offsets (the
+    last column) pass through untouched.
 
     l1: componentwise soft threshold. l12: per-group block soft threshold.
     l1inf: per-group Moreau complement of the l1-ball projection. l2sq
-    (g = sum of squared class norms): scaling by 1/(1 + 2*step).
+    (g = sum of squared class norms): scaling by 1/(1 + 2*step). The
+    groups are not checked against M here; the solvers validate the spec
+    once before they iterate.
     """
     if not step > 0:
         raise ValueError("prox step must be positive")
-    spec.validate(x.n_features)
-    return ModelVector(_prox_weights(x.weights, spec, step), x.offsets)
-
-
-def prox_regularizer_aug(x_aug, spec, step):
-    """`prox_regularizer` on a raw (K, M+1) augmented array (solver hot path)."""
     out = np.empty_like(x_aug)
     out[:, :-1] = _prox_weights(x_aug[:, :-1], spec, step)
     out[:, -1] = x_aug[:, -1]

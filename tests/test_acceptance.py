@@ -19,12 +19,12 @@ from conftest import random_dataset, spec_from_record, tiny_dataset
 from sparsemsvm.cli import main
 from sparsemsvm.data import load_dense_csv, make_synthetic, save_dense_csv
 from sparsemsvm.evaluate import evaluate_model
-from sparsemsvm.linop import apply_T, apply_T_adjoint, operator_norm
+from sparsemsvm.linop import _apply_T_adjoint_aug, _apply_T_aug, operator_norm
 from sparsemsvm.model import (BlockStructure, ModelVector, RegularizerSpec,
                               make_margin_offsets)
-from sparsemsvm.prox import (project_epigraph_max, project_halfspace_sum,
-                             project_l1_ball, project_simplex,
-                             prox_hinge_max, prox_regularizer)
+from sparsemsvm.prox import (project_epigraph_max_rows, project_halfspace_sum,
+                             project_l1_ball_rows, project_simplex_rows,
+                             prox_regularizer_aug)
 from sparsemsvm.solvers import (SOLVERS, SolverConfig, _logistic_loss_grad,
                                 _square_loss_grad, solve_constrained_fbpd,
                                 solve_regularized_fbpd)
@@ -52,7 +52,7 @@ def test_criterion_1_projection_oracles():
         if rng.random() < 0.3:
             u = np.round(u, 1)  # ties
         radius = float(rng.uniform(0.05, 4.0))
-        got = project_simplex(u, radius)
+        got = project_simplex_rows(u, radius)[0]
         want = oracles.simplex_projection_enum(u, radius)
         worst["simplex"] = max(worst["simplex"], np.max(np.abs(got - want)))
 
@@ -60,7 +60,7 @@ def test_criterion_1_projection_oracles():
         n = int(rng.integers(1, 9))
         v = rng.uniform(-5, 5, n)
         radius = float(rng.uniform(0.05, 4.0))
-        got = project_l1_ball(v, radius)
+        got = project_l1_ball_rows(v, radius)[0]
         want = oracles.l1ball_projection_enum(v, radius)
         worst["l1ball"] = max(worst["l1ball"], np.max(np.abs(got - want)))
 
@@ -77,7 +77,7 @@ def test_criterion_1_projection_oracles():
         y = rng.uniform(-4, 4, K)
         r = rng.uniform(0, 2, K)
         zeta = float(rng.uniform(-4, 4))
-        p, theta = project_epigraph_max(y, r, zeta)
+        (p,), (theta,) = project_epigraph_max_rows(y, r, zeta)
         p1, t1 = oracles.epigraph_projection_exhaustive(y, r, zeta)
         p2, t2 = oracles.epigraph_projection_opt(y, r, zeta)
         err = max(np.max(np.abs(p - p1)), abs(theta - t1),
@@ -125,7 +125,7 @@ def test_criterion_2_prox_inequalities():
         y = rng.uniform(-3, 3, K)
         r = rng.uniform(0, 2, K)
         lam = float(rng.uniform(0.2, 3.0))
-        p = prox_hinge_max(y, r, lam)
+        p = y - project_simplex_rows(y + r, lam)[0]  # Moreau form of the hinge prox
         Q = oracles.competitor_cloud(p, y, rng, N_COMPETITORS)
         fq = 0.5 * ((Q - y) ** 2).sum(axis=1) + _batch_hinge_psi(Q, r, lam)
         fp = 0.5 * ((p - y) ** 2).sum() + lam * (p + r).max()
@@ -145,8 +145,8 @@ def test_criterion_2_prox_inequalities():
                 spec = RegularizerSpec(kind, blocks)
                 W = rng.uniform(-3, 3, (K, M))
                 step = float(rng.uniform(0.1, 2.0))
-                out = prox_regularizer(ModelVector(W, np.zeros(K)), spec, step)
-                p = out.weights.ravel()
+                out = prox_regularizer_aug(np.column_stack([W, np.zeros(K)]), spec, step)
+                p = out[:, :-1].ravel()
                 Q = oracles.competitor_cloud(p, W.ravel(), rng, N_COMPETITORS)
                 fq = 0.5 * ((Q - W.ravel()) ** 2).sum(axis=1) \
                     + _batch_reg_psi(Q, kind, K, B, s, mode, step)
@@ -171,8 +171,8 @@ def test_criterion_3_adjoint_and_norm():
         x = ModelVector(rng.standard_normal((ds.n_classes, ds.n_features)),
                         rng.standard_normal(ds.n_classes))
         y = rng.standard_normal((ds.n_samples, ds.n_classes))
-        lhs = np.vdot(apply_T(x, ds), y)
-        rhs = np.vdot(x.augmented(), apply_T_adjoint(y, ds).augmented())
+        lhs = np.vdot(_apply_T_aug(x.augmented(), ds), y)
+        rhs = np.vdot(x.augmented(), _apply_T_adjoint_aug(y, ds))
         rel = abs(lhs - rhs) / (1.0 + abs(lhs))
         worst_rel = max(worst_rel, rel)
     assert worst_rel <= 1e-10
@@ -261,7 +261,7 @@ def test_criterion_6_duality_gap():
     # T^T y vanishes (the classical x = -T^T y link holds for the
     # half-scaled penalty; this is the same relation with the factor of
     # this g)
-    TtY = apply_T_adjoint(rep.dual_y, ds).augmented()
+    TtY = _apply_T_adjoint_aug(rep.dual_y, ds)
     xnorm = np.linalg.norm(rep.model.ravel())
     link_tol = 1e-3 * (1.0 + xnorm)
     w_res = np.linalg.norm(2.0 * rep.model.weights + TtY[:, :-1])

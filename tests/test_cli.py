@@ -306,6 +306,17 @@ class TestSweep:
         assert captured.out == ""
         assert f"repeats must be an integer >= 1, got {value!r}" in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_train_per_class_below_one_is_usage_error(self, synthetic_files, capsys, value):
+        train_p, _ = synthetic_files
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--data", train_p, "--solver", "fista-square", "--alphas", "1",
+                  "--train-per-class", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"train-per-class must be an integer >= 1, got {value!r}" in captured.err
+
 
 class TestBench:
     def test_distance_curve_and_determinism(self, synthetic_files, tmp_path, capsys):

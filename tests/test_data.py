@@ -121,6 +121,17 @@ class TestStandardize:
         np.testing.assert_allclose(out.dense_features()[:, 1], 0.0)
         assert stats.scale[1] == 1.0
 
+    def test_constant_column_with_inexact_mean(self):
+        # three 0.1 entries average to 0.10000000000000002: the column is
+        # still constant, so it gets scale 1 and maps to exact zeros
+        X = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 4.0]])
+        out, stats = standardize(Dataset.from_arrays(X, [0, 1, 0], n_classes=2))
+        assert stats.scale[0] == 1.0
+        np.testing.assert_array_equal(out.dense_features()[:, 0], [0.0, 0.0, 0.0])
+        col = X[:, 1]
+        np.testing.assert_array_equal(out.dense_features()[:, 1],
+                                      (col - col.mean()) / col.std())
+
     def test_already_standardized_near_identity(self, rng):
         X = rng.standard_normal((500, 3))
         X = (X - X.mean(axis=0)) / X.std(axis=0)
@@ -231,6 +242,11 @@ class TestSplit:
         ds = make_synthetic(3, 2, 7, seed=5)
         with pytest.raises(ValueError):
             split(ds, per_class=5, seed=0)
+
+    def test_negative_per_class_rejected(self):
+        ds = make_synthetic(3, 5, 30, seed=3)
+        with pytest.raises(ValueError, match="per_class"):
+            split(ds, per_class=-1, seed=0)
 
     def test_requires_exactly_one_mode(self):
         ds = make_synthetic(2, 2, 6, seed=6)

@@ -8,7 +8,7 @@ from sparsemsvm.evaluate import (count_nonzero_groups, count_nonzeros,
                                  evaluate_model, hinge_sum, objective_value,
                                  predict)
 from sparsemsvm.model import BlockStructure, ModelVector, RegularizerSpec
-from sparsemsvm.prox import prox_regularizer
+from sparsemsvm.prox import prox_regularizer_aug
 from sparsemsvm.solvers import SolverConfig, solve_regularized_fbpd
 
 
@@ -56,8 +56,8 @@ class TestCountNonzeros:
         np.testing.assert_array_equal(counts, [0, 0, 0])
 
     def test_l1_prox_kills_everything(self, rng):
-        W = rng.uniform(-1, 1, (2, 6))
-        m = prox_regularizer(ModelVector(W, np.zeros(2)), RegularizerSpec("l1"), 1.0)
+        aug = rng.uniform(-1, 1, (2, 7))
+        m = ModelVector.from_augmented(prox_regularizer_aug(aug, RegularizerSpec("l1"), 1.0))
         np.testing.assert_array_equal(count_nonzeros(m), [0, 0])
 
     def test_threshold_behavior(self):
@@ -140,12 +140,12 @@ def test_evaluate_model_report(rng):
 
 
 def test_hinge_sum_matches_multiclass_hinge_rows(rng):
-    from sparsemsvm.linop import apply_T
-    from sparsemsvm.model import make_margin_offsets, multiclass_hinge
+    from sparsemsvm.linop import _apply_T_aug
+    from sparsemsvm.model import make_margin_offsets
     ds = random_dataset(rng)
     m = ModelVector(rng.standard_normal((ds.n_classes, ds.n_features)),
                     rng.standard_normal(ds.n_classes))
-    Y = apply_T(m, ds)
+    Y = _apply_T_aug(m.augmented(), ds)
     r = make_margin_offsets(ds)
-    want = sum(multiclass_hinge(Y[i], r[i]) for i in range(ds.n_samples))
+    want = sum((Y[i] + r[i]).max() for i in range(ds.n_samples))
     assert hinge_sum(m, ds) == pytest.approx(want, rel=1e-12)

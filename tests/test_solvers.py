@@ -6,7 +6,7 @@ from _frozen import SUBGRADIENT_REFERENCES
 from conftest import (random_dataset, spec_from_record, tiny_dataset,
                       windowed_residual_check)
 from sparsemsvm.evaluate import hinge_sum, predict
-from sparsemsvm.linop import apply_T_adjoint, features_aug_norm
+from sparsemsvm.linop import _apply_T_adjoint_aug, features_aug_norm
 from sparsemsvm.model import (BlockStructure, Dataset, ModelVector,
                               RegularizerSpec, make_margin_offsets)
 from sparsemsvm.prox import regularizer_value
@@ -40,6 +40,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         solve_regularized_fbpd(ds, RegularizerSpec("l1"),
                                SolverConfig(lam=1.0, tau=10.0, sigma=10.0))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_block_mismatch_rejected(name):
+    # groups over 3 features do not partition the M = 2 of the tiny set;
+    # every solver refuses them before the first iteration
+    spec = RegularizerSpec("l12", BlockStructure.contiguous(3, 2))
+    with pytest.raises(ValueError, match="partition"):
+        SOLVERS[name](tiny_dataset(0), spec, SolverConfig(lam=1.0, eta=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +239,7 @@ def test_l2sq_dual_gap_and_link():
     assert rep.dual_objective is not None
     assert abs(rep.dual_gap) <= 1e-3 * (1.0 + abs(rep.primal_objective))
     # linkage: weights satisfy 2w = -(T^T y)_w, offsets (T^T y)_b -> 0
-    TtY = apply_T_adjoint(rep.dual_y, ds).augmented()
+    TtY = _apply_T_adjoint_aug(rep.dual_y, ds)
     xnorm = np.linalg.norm(rep.model.ravel())
     assert np.linalg.norm(2.0 * rep.model.weights + TtY[:, :-1]) <= 1e-3 * (1.0 + xnorm)
     assert np.linalg.norm(TtY[:, -1]) <= 1e-3 * (1.0 + xnorm)
