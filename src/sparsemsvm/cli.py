@@ -5,8 +5,10 @@ Exit codes: 0 on success, 2 when a solve finished without reaching the
 stopping tolerance (results are still written), 1 on data or file errors
 and on a diverged solve (a sweep still writes every row, with `nan` means
 for the alpha that diverged), 2 on usage errors (argparse convention),
-among them an `--alpha` or `--alphas` entry that is not a finite number > 0
-and a `--repeats` or `--train-per-class` that is not an integer >= 1.
+among them an `--alpha`, `--alphas` entry, `--tol` or `--ref-tol-factor`
+that is not a finite number > 0, a `--threshold` that is not a finite
+number >= 0, and a `--max-iter`, `--repeats` or `--train-per-class` that
+is not an integer >= 1.
 """
 
 from __future__ import annotations
@@ -35,15 +37,23 @@ def _load_dataset(path, fmt):
     return datamod.load_sparse_svmlight(path)
 
 
-def _alpha(text):
-    """argparse type of `--alpha`: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"alpha must be a finite number > 0, got {text!r}")
-    return value
+def _finite(name, zero_ok=False):
+    """argparse type of a number option: finite and > 0, or >= 0 when
+    `zero_ok`; `name` leads its error message."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            bound = ">= 0" if zero_ok else "> 0"
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a finite number {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_alpha = _finite("alpha")
 
 
 def _alphas(text):
@@ -110,8 +120,8 @@ def _solver_args(p):
     p.add_argument("--blocks", default="1",
                    help="group size for mixed norms, or a file of 1-based index groups")
     p.add_argument("--group", default="per-class", choices=["per-class", "cross-class"])
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tol", type=_finite("tol"), default=1e-5)
+    p.add_argument("--max-iter", type=_count("max-iter"), default=10000)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -327,13 +337,13 @@ def build_parser():
                    help="sweep parameter: lam = 1/alpha, or eta = alpha*L for fbpd-con")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--threshold", type=float, default=1e-5)
+    p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a persisted model on a dataset")
     p.add_argument("--model", required=True)
     _data_args(p)
-    p.add_argument("--threshold", type=float, default=1e-5)
+    p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
     p.add_argument("--emit", default="text", choices=["text", "csv"])
     p.set_defaults(func=cmd_eval)
 
@@ -345,7 +355,7 @@ def build_parser():
     p.add_argument("--alphas", type=_alphas, default=DEFAULT_ALPHAS)
     p.add_argument("--repeats", type=_count("repeats"), default=1)
     p.add_argument("--train-per-class", type=_count("train-per-class"), default=None)
-    p.add_argument("--threshold", type=float, default=1e-5)
+    p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
     p.add_argument("--timing", action="store_true",
                    help="append a wall-time column (breaks byte-for-byte reproducibility)")
     p.add_argument("--out", default=None, help="CSV output path")
@@ -356,7 +366,7 @@ def build_parser():
     p.add_argument("--solvers", default=",".join(sorted(SOLVERS)))
     _solver_args(p)
     p.add_argument("--alpha", type=_alpha, required=True)
-    p.add_argument("--ref-tol-factor", type=float, default=1e-2,
+    p.add_argument("--ref-tol-factor", type=_finite("ref-tol-factor"), default=1e-2,
                    help="reference run stops at tol times this factor")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out", default=None, help="CSV output path")

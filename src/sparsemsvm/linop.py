@@ -25,10 +25,17 @@ class NormEstimate(NamedTuple):
 
 
 def _scores_aug(x_aug, dataset):
-    """Per-class scores phi~(u_l)^T x^(k) for every sample, shape (L, K)."""
+    """Per-class scores phi~(u_l)^T x^(k) for every sample, shape (L, K).
+
+    Dense features take the product as (W @ features^T)^T, the faster GEMM
+    orientation for a few class rows; the result is C-ordered like the
+    CSR product, so row reductions downstream sum in one order.
+    """
     W = x_aug[:, :-1]
     b = x_aug[:, -1]
-    return dataset.features @ W.T + b
+    if sp.issparse(dataset.features):
+        return dataset.features @ W.T + b
+    return np.add((W @ dataset.features.T).T, b, order="C")
 
 
 def _apply_T_aug(x_aug, dataset):
@@ -48,11 +55,17 @@ def _apply_T_adjoint_aug(y, dataset):
     row_sums = y.sum(axis=1)
     y_eff = y.copy()
     y_eff[np.arange(dataset.n_samples), dataset.labels] -= row_sums
-    W = y_eff.T @ dataset.features
+    shape = (y.shape[1], dataset.n_features + 1)
     if sp.issparse(dataset.features):
-        W = np.asarray(W)
-    b = y_eff.sum(axis=0)
-    return np.hstack([W, b[:, None]])
+        # scipy's product comes back column-major; a column-major result
+        # takes it without a transpose
+        out = np.empty(shape, order="F")
+        out[:, :-1] = y_eff.T @ dataset.features
+    else:
+        out = np.empty(shape)
+        np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
+    out[:, -1] = y_eff.sum(axis=0)
+    return out
 
 
 def _power_iteration(matvec, rmatvec, v0, tol, max_iter):

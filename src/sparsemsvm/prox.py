@@ -73,24 +73,34 @@ def project_epigraph_max_rows(Y, R, heights):
 
     shifted = Y + R
     nu = np.sort(shifted, axis=1)  # ascending
-    # suffix[j] = sum of nu[:, j:]; candidates kbar = 1..K+1 map to j = kbar-1
-    suffix = np.zeros((L, K + 1))
-    suffix[:, :K] = np.cumsum(nu[:, ::-1], axis=1)[:, ::-1]
-    denom = K - np.arange(1, K + 2) + 2.0
-    thetas = (heights[:, None] + suffix) / denom
-    lower = np.concatenate([np.full((L, 1), -np.inf), nu], axis=1)
-    upper = np.concatenate([nu, np.full((L, 1), np.inf)], axis=1)
-    ok = (lower < thetas) & (thetas <= upper)
+    # thetas[:, j] starts as sum of nu[:, j:]; candidates kbar = 1..K+1
+    # map to j = kbar-1, the last one to the empty sum
+    thetas = np.empty((L, K + 1))
+    thetas[:, K] = 0.0
+    np.cumsum(nu[:, ::-1], axis=1, out=thetas[:, K - 1::-1])
+    np.add(heights[:, None], thetas, out=thetas)
+    np.divide(thetas, np.arange(K + 1.0, 0.0, -1.0), out=thetas)  # K - kbar + 2
+    # the sandwich nu^(kbar-1) < theta <= nu^(kbar) without the sentinel
+    # columns: the upper bound of kbar = K+1 is +inf, which the finite
+    # height always meets, and the lower bound of kbar = 1 is -inf
+    ok = np.empty((L, K + 1), dtype=bool)
+    np.less_equal(thetas[:, :K], nu, out=ok[:, :K])
+    ok[:, K] = True
+    ok[:, 1:] &= nu < thetas[:, 1:]
+    ok[:, 0] &= thetas[:, 0] > -np.inf
     # uniqueness is guaranteed in exact arithmetic; under floating-point
     # ties fall back to the candidate violating the sandwich the least
     kbar_idx = np.argmax(ok, axis=1)
-    no_hit = ~ok.any(axis=1)
-    if np.any(no_hit):
+    hit = ok.any(axis=1)
+    if not hit.all():
+        no_hit = ~hit
+        lower = np.concatenate([np.full((L, 1), -np.inf), nu], axis=1)
+        upper = np.concatenate([nu, np.full((L, 1), np.inf)], axis=1)
         viol = np.maximum(lower - thetas, 0.0) + np.maximum(thetas - upper, 0.0)
         kbar_idx[no_hit] = np.argmin(viol[no_hit], axis=1)
 
     theta = thetas[np.arange(L), kbar_idx]
-    inside = shifted.max(axis=1) <= heights
+    inside = nu[:, -1] <= heights  # the row maximum of y + r
     theta = np.where(inside, heights, theta)
     P = np.where(inside[:, None], Y, np.minimum(Y, theta[:, None] - R))
     return P, theta
@@ -113,8 +123,12 @@ def project_halfspace_sum(z, bound):
 # ---------------------------------------------------------------------------
 # regularizer prox and value
 
-def _soft_threshold(w, t):
-    return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
+def _soft_threshold(w, t, out):
+    """sign(w) * max(|w| - t, 0), computed in `out`, which must not be `w`."""
+    np.abs(w, out=out)
+    np.subtract(out, t, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(w), out, out=out)
 
 
 def _group_rows(W, blocks):
@@ -169,14 +183,16 @@ def _linf_prox_rows(rows, step):
     return rows - project_l1_ball_rows(rows, step)
 
 
-def _prox_weights(W, spec, step):
+def _prox_weights(W, spec, step, out):
+    """prox of step * g at the (K, M) weights W, written into `out`."""
     if spec.kind == "l1":
-        return _soft_threshold(W, step)
+        return _soft_threshold(W, step, out)
     if spec.kind == "l2sq":
-        return W / (1.0 + 2.0 * step)
+        return np.divide(W, 1.0 + 2.0 * step, out=out)
     prox_rows = _block_soft_threshold_rows if spec.kind == "l12" else _linf_prox_rows
     batches = [prox_rows(rows, step) for rows in _group_rows(W, spec.blocks)]
-    return _ungroup_rows(batches, spec.blocks, W.copy())
+    out[...] = W
+    return _ungroup_rows(batches, spec.blocks, out)
 
 
 def prox_regularizer_aug(x_aug, spec: RegularizerSpec, step: float):
@@ -191,8 +207,8 @@ def prox_regularizer_aug(x_aug, spec: RegularizerSpec, step: float):
     """
     if not step > 0:
         raise ValueError("prox step must be positive")
-    out = np.empty_like(x_aug)
-    out[:, :-1] = _prox_weights(x_aug[:, :-1], spec, step)
+    out = np.empty(x_aug.shape)
+    _prox_weights(x_aug[:, :-1], spec, step, out[:, :-1])
     out[:, -1] = x_aug[:, -1]
     return out
 

@@ -92,10 +92,26 @@ def _rel_change(x_new, x):
     return float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12))
 
 
-def _guard(x_aug, objective, cap):
+def _dual_change(pairs):
+    """The relative change of a dual state as `_iterate` reads it, on
+    demand: the largest `_rel_change` over its (new, old) array pairs."""
+    return lambda: max(_rel_change(new, old) for new, old in pairs)
+
+
+def _no_dual_change():
+    """`dual_rel` of a solver without a dual state."""
+    return 0.0
+
+
+def _guard(x_aug, norm, objective, cap):
     """Divergence guard: abort on a non-finite or runaway iterate, or on an
-    objective (None when unknown) that is non-finite or beyond `cap`."""
-    if not np.all(np.isfinite(x_aug)) or np.abs(x_aug).max(initial=0.0) > OBJECTIVE_CAP:
+    objective (None when unknown) that is non-finite or beyond `cap`.
+
+    `norm` is the Euclidean norm of x_aug. A finite norm at most
+    OBJECTIVE_CAP bounds every entry, so the entrywise passes run only
+    when it is not."""
+    if not norm <= OBJECTIVE_CAP and (
+            not np.all(np.isfinite(x_aug)) or np.abs(x_aug).max(initial=0.0) > OBJECTIVE_CAP):
         raise DivergenceError("diverged: non-finite or runaway iterate")
     if objective is not None and (not np.isfinite(objective) or objective > cap):
         raise DivergenceError(f"diverged: objective={objective!r}")
@@ -105,29 +121,35 @@ def _iterate(step, x0, cfg, callback=None, objective=None):
     """The iteration loop shared by every solver.
 
     `step(x) -> (x_new, dual_rel, obj)` advances one iteration and keeps
-    any dual or momentum state in its closure: `dual_rel` is the relative
-    change of that state (0 for the smooth solvers) and `obj` the
-    objective at x_new when the step computes it anyway, else None, in
-    which case `objective(x)` supplies it for the recorded history. The
-    loop owns the relative change, the divergence guard, the history, the
-    callback and the stopping rule. The objective cap is OBJECTIVE_CAP
-    times the first known objective (at least 1), so a large `lam * loss`
-    at the start is not mistaken for divergence.
+    any dual or momentum state in its closure. x_new must be a fresh
+    array, since callers may keep every iterate. `dual_rel()` returns the
+    relative change of the dual state (`_no_dual_change` for the smooth
+    solvers); the stopping rule calls it only when x did not move. `obj`
+    is the objective at x_new when the step computes it anyway, else
+    None, in which case `objective(x)` supplies it for the recorded
+    history. The loop owns the relative change, the divergence guard, the
+    history, the callback and the stopping rule; the norm of x_new serves
+    the guard and, one iteration later, the relative change. The objective
+    cap is OBJECTIVE_CAP times the first known objective (at least 1), so
+    a large `lam * loss` at the start is not mistaken for divergence.
 
     Returns (x, iterations, converged, final relative change, history).
     """
     hist = {"objective": [], "rel_change": [], "time": []} if cfg.record_history else None
     t0 = time.perf_counter()
     x, rel, converged, it, cap = x0, np.inf, False, 0, None
+    norm_x = np.linalg.norm(x0)
+    diff = np.empty_like(x0)
     for it in range(1, cfg.max_iter + 1):
         x_new, dual_rel, obj = step(x)
-        rel = _rel_change(x_new, x)
-        x = x_new
+        np.subtract(x_new, x, out=diff)
+        rel = float(np.linalg.norm(diff) / max(norm_x, 1e-12))
+        x, norm_x = x_new, np.linalg.norm(x_new)
         if obj is None and hist is not None:
             obj = objective(x)
         if cap is None and obj is not None:
             cap = OBJECTIVE_CAP * max(1.0, abs(obj))
-        _guard(x, obj, cap)
+        _guard(x, norm_x, obj, cap)
         if hist is not None:
             hist["objective"].append(obj)
             hist["rel_change"].append(rel)
@@ -136,7 +158,7 @@ def _iterate(step, x0, cfg, callback=None, objective=None):
             callback(it, x)
         # a bit-exact frozen primal only counts as converged once the dual
         # is stationary too (prox can pin x while y still warms up)
-        if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel <= cfg.rel_tol):
+        if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel() <= cfg.rel_tol):
             converged = True
             break
     return x, it, converged, rel if it else 0.0, hist
@@ -163,6 +185,33 @@ def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
     return report
 
 
+# In-place pieces of the primal-dual step. Each keeps the operations and
+# their order of the plain expression in its docstring, so the iterates
+# are bitwise those of that expression.
+
+def _forward(x, y, tau, dataset):
+    """x - tau * T^T y, computed in the adjoint's fresh output when that is
+    row-major like x. CSR features give a column-major one, and the group
+    proxes reduce their rows in memory order, so that case gets a fresh
+    row-major result."""
+    v = _apply_T_adjoint_aug(y, dataset)
+    np.multiply(tau, v, out=v)
+    return np.subtract(x, v, out=v if v.flags.c_contiguous else None)
+
+
+def _extrapolate(x_new, x, out):
+    """2 * x_new - x, computed in `out`."""
+    np.multiply(2.0, x_new, out=out)
+    return np.subtract(out, x, out=out)
+
+
+def _dual_ascent(y, sigma, x_bar, dataset):
+    """y + sigma * T x_bar, computed in T's fresh output."""
+    t = _apply_T_aug(x_bar, dataset)
+    np.multiply(sigma, t, out=t)
+    return np.add(y, t, out=t)
+
+
 def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
                            cfg: SolverConfig, callback=None) -> SolveReport:
     """Primal-dual splitting for  min_x g(x) + lam * sum_l h_l(T_l x).
@@ -177,15 +226,16 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
     K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
     normT = _norm_T(dataset, cfg)
     tau, sigma = _fbpd_steps(cfg, normT)
-    r = make_margin_offsets(dataset)
+    sigma_r = sigma * make_margin_offsets(dataset)
     y = np.zeros((L, K))
+    ext = np.empty((K, M + 1))
 
     def step(x):
         nonlocal y
-        x_new = prox_regularizer_aug(x - tau * _apply_T_adjoint_aug(y, dataset), spec, tau)
-        y_hat = y + sigma * _apply_T_aug(2.0 * x_new - x, dataset)
-        y_new = project_simplex_rows(y_hat + sigma * r, lam)
-        dual_rel = _rel_change(y_new, y)
+        x_new = prox_regularizer_aug(_forward(x, y, tau, dataset), spec, tau)
+        y_hat = _dual_ascent(y, sigma, _extrapolate(x_new, x, ext), dataset)
+        y_new = project_simplex_rows(np.add(y_hat, sigma_r, out=y_hat), lam)
+        dual_rel = _dual_change([(y_new, y)])
         y = y_new
         return x_new, dual_rel, None
 
@@ -227,18 +277,18 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
     zeta = np.zeros(L)
     y = np.zeros((L, K))
     xi = np.zeros(L)
+    ext = np.empty((K, M + 1))
 
     def step(x):
         nonlocal zeta, y, xi
-        x_new = prox_regularizer_aug(x - tau * _apply_T_adjoint_aug(y, dataset), spec, tau)
+        x_new = prox_regularizer_aug(_forward(x, y, tau, dataset), spec, tau)
         zeta_new = project_halfspace_sum(zeta - tau * xi, eta)
-        y_hat = y + sigma * _apply_T_aug(2.0 * x_new - x, dataset)
+        y_hat = _dual_ascent(y, sigma, _extrapolate(x_new, x, ext), dataset)
         xi_hat = xi + sigma * (2.0 * zeta_new - zeta)
         y_tilde, xi_tilde = project_epigraph_max_rows(y_hat / sigma, r, xi_hat / sigma)
-        y_new = y_hat - sigma * y_tilde
+        y_new = np.subtract(y_hat, np.multiply(sigma, y_tilde, out=y_tilde), out=y_tilde)
         xi_new = xi_hat - sigma * xi_tilde
-        dual_rel = max(_rel_change(y_new, y), _rel_change(xi_new, xi),
-                       _rel_change(zeta_new, zeta))
+        dual_rel = _dual_change([(y_new, y), (xi_new, xi), (zeta_new, zeta)])
         zeta, y, xi = zeta_new, y_new, xi_new
         return x_new, dual_rel, None
 
@@ -298,7 +348,7 @@ def _fista(x0, loss_grad, spec, gamma, cfg, callback=None):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         v = x_new + ((t - 1.0) / t_new) * (x_new - x)
         t, obj_x = t_new, obj_new
-        return x_new, 0.0, obj_new
+        return x_new, _no_dual_change, obj_new
 
     return _iterate(step, x0, cfg, callback)
 
@@ -331,7 +381,7 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
 
     def step(x):
         _, grad = _logistic_loss_grad(x, dataset, r, lam)
-        return prox_regularizer_aug(x - gamma * grad, spec, gamma), 0.0, None
+        return prox_regularizer_aug(x - gamma * grad, spec, gamma), _no_dual_change, None
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
                    lambda x: _logistic_loss_grad(x, dataset, r, lam)[0]

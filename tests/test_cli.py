@@ -80,14 +80,16 @@ class TestTrain:
         assert "train_errors 0" in text
         assert out.exists() and (str(out) + ".report.txt",)
 
-    def test_max_iter_zero_writes_zero_model(self, synthetic_files, tmp_path):
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_iter_below_one_is_usage_error(self, synthetic_files, tmp_path, value):
+        # a run without iterations used to write the zero start as a model
         train_p, _ = synthetic_files
         out = tmp_path / "z.model"
-        code = main(["train", "--data", train_p, "--solver", "fista-square",
-                     "--alpha", "1.0", "--max-iter", "0", "--out", str(out)])
-        assert code == 2  # ran fine but did not converge
-        pm = load_model(out)
-        assert np.all(pm.model.weights == 0.0) and np.all(pm.model.offsets == 0.0)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", train_p, "--solver", "fista-square",
+                  "--alpha", "1.0", "--max-iter", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_unknown_solver_is_usage_error(self, synthetic_files, tmp_path):
         train_p, _ = synthetic_files
@@ -166,8 +168,10 @@ class TestEval:
     def test_zero_model_error_rate_balanced(self, synthetic_files, tmp_path, capsys):
         train_p, test_p = synthetic_files
         out = tmp_path / "z.model"
+        # one fbpd-reg iteration from the zero dual leaves x at zero
         main(["train", "--data", train_p, "--solver", "fbpd-reg",
-              "--alpha", "1.0", "--max-iter", "0", "--out", str(out)])
+              "--alpha", "1.0", "--max-iter", "1", "--out", str(out)])
+        assert np.all(load_model(out).model.augmented() == 0.0)
         capsys.readouterr()
         code = main(["eval", "--model", str(out), "--data", test_p,
                      "--emit", "csv"])
@@ -197,7 +201,7 @@ class TestEval:
         train_p, _ = synthetic_files
         out = tmp_path / "m.model"
         main(["train", "--data", train_p, "--solver", "fbpd-reg",
-              "--alpha", "1.0", "--max-iter", "0", "--out", str(out)])
+              "--alpha", "1.0", "--max-iter", "1", "--out", str(out)])
         out.write_text("".join(l for l in out.read_text().splitlines(keepends=True)
                                if not l.startswith("classes ")))
         capsys.readouterr()
@@ -357,6 +361,55 @@ class TestBench:
             main(["bench", "--data", train_p, "--alpha", "0"])
         assert exc.value.code == 2
         assert "alpha must be a finite number > 0" in capsys.readouterr().err
+
+
+# each command that takes the option, as (command, the rest of a valid
+# argument list); the option under test is appended to it
+def _commands(train_p, test_p, tmp_path):
+    model = str(tmp_path / "m.model")
+    return {
+        "train": ["train", "--data", train_p, "--solver", "fbpd-reg", "--alpha", "1",
+                  "--out", model],
+        "eval": ["eval", "--model", model, "--data", test_p],
+        "sweep": ["sweep", "--data", train_p, "--test", test_p, "--solver", "fbpd-reg",
+                  "--alphas", "1"],
+        "bench": ["bench", "--data", train_p, "--solvers", "fbpd-reg", "--alpha", "1"],
+    }
+
+
+@pytest.mark.parametrize("option, commands, values, message", [
+    ("--tol", ("train", "sweep", "bench"), ["nan", "-1", "inf", "0", "tight"],
+     "tol must be a finite number > 0"),
+    ("--max-iter", ("train", "sweep", "bench"), ["0", "-3", "1e4"],
+     "max-iter must be an integer >= 1"),
+    ("--threshold", ("train", "eval", "sweep"), ["-1", "nan", "inf"],
+     "threshold must be a finite number >= 0"),
+    ("--ref-tol-factor", ("bench",), ["0", "-1", "inf"],
+     "ref-tol-factor must be a finite number > 0"),
+])
+def test_bad_option_value_is_usage_error(synthetic_files, tmp_path, capsys,
+                                         option, commands, values, message):
+    train_p, test_p = synthetic_files
+    argvs = _commands(train_p, test_p, tmp_path)
+    for command in commands:
+        for value in values:
+            with pytest.raises(SystemExit) as exc:
+                main(argvs[command] + [option, value])
+            assert exc.value.code == 2, (command, value)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{message}, got {value!r}" in captured.err
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_zero_threshold_counts_every_nonzero(synthetic_files, tmp_path, capsys):
+    train_p, _ = synthetic_files
+    out = tmp_path / "m.model"
+    assert main(["train", "--data", train_p, "--solver", "fbpd-reg", "--alpha", "1",
+                 "--max-iter", "50", "--threshold", "0", "--out", str(out)]) == 2
+    weights = load_model(out).model.weights
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("nonzeros "))
+    assert line == "nonzeros " + "+".join(str(int(c)) for c in (weights != 0).sum(axis=1))
 
 
 def test_sweep_byte_determinism(synthetic_files, tmp_path, capsys):
