@@ -55,16 +55,13 @@ def _apply_T_adjoint_aug(y, dataset):
     row_sums = y.sum(axis=1)
     y_eff = y.copy()
     y_eff[np.arange(dataset.n_samples), dataset.labels] -= row_sums
-    shape = (y.shape[1], dataset.n_features + 1)
+    b = y_eff.sum(axis=0)
     if sp.issparse(dataset.features):
-        # scipy's product comes back column-major; a column-major result
-        # takes it without a transpose
-        out = np.empty(shape, order="F")
-        out[:, :-1] = y_eff.T @ dataset.features
-    else:
-        out = np.empty(shape)
-        np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
-    out[:, -1] = y_eff.sum(axis=0)
+        # scipy's product is column-major, and so is this result
+        return np.hstack([np.asarray(y_eff.T @ dataset.features), b[:, None]])
+    out = np.empty((y.shape[1], dataset.n_features + 1))
+    np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
+    out[:, -1] = b
     return out
 
 

@@ -1,43 +1,69 @@
 """The names that perfbench's tracer wraps stay bound where it looks for
 them, and the primal-dual steps call the layers through those bindings.
 
-perfbench/launch.py is imported read-only. Its tracer replaces module
-attributes; every attribute it can touch is registered with monkeypatch
-first, and `cli.SOLVERS` is swapped for a copy, so the package is restored
-after the test.
+perfbench/launch.py is loaded read-only from its file, with perfbench/ on
+sys.path only for the test; the perfbench modules it imports leave
+sys.modules afterwards. Its tracer replaces module attributes; every
+attribute of the traced modules, and the items of their dicts (such as
+`cli.SOLVERS`), are restored after the test.
 """
 
+import importlib.util
 import pathlib
 import sys
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+from conftest import tiny_dataset
+from sparsemsvm.model import RegularizerSpec
+from sparsemsvm.solvers import SolverConfig
 
-import launch  # noqa: E402
-from spans import Tracer  # noqa: E402
-
-from conftest import tiny_dataset  # noqa: E402
-from sparsemsvm.model import RegularizerSpec  # noqa: E402
-from sparsemsvm.solvers import SolverConfig  # noqa: E402
-
-# attributes outside launch.HOT that install_tracer wraps
-SPANNED = [("cli", "_load_dataset"), ("cli", "operator_norm"), ("solvers", "operator_norm"),
-           ("cli", "evaluate_model"), ("cli", "save_model")]
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
-def traced(monkeypatch):
-    """A tracer installed on the package; returns (tracer, modules, missing)."""
+def launch(monkeypatch):
+    """perfbench/launch.py as a module of its own name."""
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_launch", PERFBENCH / "launch.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in set(sys.modules) - before:
+        path = getattr(sys.modules[name], "__file__", None)
+        if path is not None and pathlib.Path(path).resolve().parent == PERFBENCH:
+            del sys.modules[name]
+
+
+def _snapshot(mod):
+    attrs = dict(vars(mod))
+    items = {name: dict(value) for name, value in attrs.items()
+             if isinstance(value, dict) and not name.startswith("__")}
+    return attrs, items
+
+
+def _restore(mod, attrs, items):
+    for name in set(vars(mod)) - set(attrs):
+        delattr(mod, name)
+    for name, value in attrs.items():
+        if vars(mod)[name] is not value:
+            setattr(mod, name, value)
+    for name, saved in items.items():
+        attrs[name].clear()
+        attrs[name].update(saved)
+
+
+@pytest.fixture
+def traced(launch):
+    """A tracer installed on the package; yields (tracer, modules, missing)."""
     mods = launch._modules()
-    for module, name in [(m, n) for m, n, _, _ in launch.HOT] + SPANNED:
-        mod = mods[module]
-        if mod is not None and hasattr(mod, name):
-            monkeypatch.setattr(mod, name, getattr(mod, name))
-    monkeypatch.setattr(mods["cli"], "SOLVERS", dict(mods["cli"].SOLVERS))
-    tracer = Tracer()
+    saved = {mod: _snapshot(mod) for mod in mods.values() if mod is not None}
+    tracer = launch.Tracer()
     missing = launch.install_tracer(tracer, mods)
-    return tracer, mods, missing
+    yield tracer, mods, missing
+    for mod, (attrs, items) in saved.items():
+        _restore(mod, attrs, items)
 
 
 def _calls_in_solve(tracer, layer):
