@@ -16,6 +16,7 @@ import pathlib
 import sys
 import time
 
+from sparsemsvm import cli
 from sparsemsvm.data import load_dense_csv
 from sparsemsvm.evaluate import count_nonzeros, evaluate_model
 from sparsemsvm.model import BlockStructure, RegularizerSpec
@@ -30,13 +31,12 @@ BLOCK_GENES = 5
 
 
 def best_over_grid(solver_id, spec, train, test, alphas, tol, max_iter, norm_T):
+    """(test errors, alpha, report, evaluation, seconds) of the alpha with
+    the fewest test errors; the first such alpha of the grid on a tie."""
     best = None
     for alpha in alphas:
-        cfg = SolverConfig(max_iter=max_iter, rel_tol=tol, norm_T=norm_T)
-        if solver_id == "fbpd-con":
-            cfg.eta = alpha * train.n_samples
-        else:
-            cfg.lam = 1.0 / alpha
+        cfg = SolverConfig.for_alpha(solver_id, alpha, train.n_samples,
+                                     max_iter=max_iter, rel_tol=tol, norm_T=norm_T)
         t0 = time.perf_counter()
         report = SOLVERS[solver_id](train, spec, cfg)
         elapsed = time.perf_counter() - t0
@@ -50,11 +50,11 @@ def best_over_grid(solver_id, spec, train, test, alphas, tol, max_iter, norm_T):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--data-dir", default="data/leukemia")
-    ap.add_argument("--alphas", default="0.001,0.01,0.1,1,10,100,1000")
+    ap.add_argument("--alphas", type=cli._alphas, default=cli.DEFAULT_ALPHAS)
     ap.add_argument("--solvers", default="hinge,square,logit,one-vs-all")
     ap.add_argument("--regs", default=",".join(REGS))
-    ap.add_argument("--tol", type=float, default=1e-5)
-    ap.add_argument("--max-iter", type=int, default=30000)
+    ap.add_argument("--tol", type=cli._finite("tol"), default=1e-5)
+    ap.add_argument("--max-iter", type=cli._count("max-iter"), default=30000)
     ap.add_argument("--out", default=None, help="optional CSV output path")
     args = ap.parse_args()
 
@@ -68,7 +68,6 @@ def main():
     test = load_dense_csv(test_p)
     print(f"train: {train.n_samples} x {train.n_features}, K={train.n_classes}; "
           f"test: {test.n_samples}")
-    alphas = [float(a) for a in args.alphas.split(",")]
     norm_T = operator_norm(train).value
 
     rows = []
@@ -80,7 +79,7 @@ def main():
                 blocks = BlockStructure.contiguous(train.n_features, BLOCK_GENES)
             spec = RegularizerSpec(reg, blocks)
             errors, alpha, report, ev, elapsed = best_over_grid(
-                solver_id, spec, train, test, alphas, args.tol,
+                solver_id, spec, train, test, args.alphas, args.tol,
                 args.max_iter, norm_T)
             nz = "+".join(str(int(c)) for c in count_nonzeros(report.model))
             print(f"{solver_name:<11} {reg:<6} errors {errors}/{test.n_samples}"

@@ -5,10 +5,7 @@ Exit codes: 0 on success, 2 when a solve finished without reaching the
 stopping tolerance (results are still written), 1 on data or file errors
 and on a diverged solve (a sweep still writes every row, with `nan` means
 for the alpha that diverged), 2 on usage errors (argparse convention),
-among them an `--alpha`, `--alphas` entry, `--tol` or `--ref-tol-factor`
-that is not a finite number > 0, a `--threshold` that is not a finite
-number >= 0, and a `--max-iter`, `--repeats` or `--train-per-class` that
-is not an integer >= 1.
+among them every option value outside the range its argparse type checks.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .evaluate import evaluate_model
 from .linop import operator_norm
 from .model import BlockStructure, RegularizerSpec
 from .persist import PersistedModel, _fmt, encode_groups, load_model, save_model
-from .solvers import CONSTRAINED_SOLVERS, SOLVERS, DivergenceError, SolverConfig
+from .solvers import SOLVERS, DivergenceError, SolverConfig
 
 DEFAULT_ALPHAS = "0.001,0.01,0.1,1,10,100,1000"
 
@@ -53,26 +51,37 @@ def _finite(name, zero_ok=False):
     return parse
 
 
-_alpha = _finite("alpha")
-
-
-def _alphas(text):
-    """argparse type of `--alphas`: comma-separated `_alpha` values."""
-    return [_alpha(a) for a in text.split(",") if a]
-
-
-def _count(name):
-    """argparse type of a count option such as `--repeats`: an integer >= 1;
-    `name` leads its error message."""
+def _count(name, minimum=1):
+    """argparse type of an integer option such as `--repeats`: an integer
+    >= `minimum`; `name` leads its error message."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            value = 0
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer >= 1, got {text!r}")
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {minimum}, got {text!r}")
         return value
     return parse
+
+
+def _list(name, item=str, choices=None):
+    """argparse type of a comma-separated option: the `item` values of its
+    non-empty entries, at least one and, with `choices`, each one of them."""
+    def parse(text):
+        values = [item(entry) for entry in text.split(",") if entry]
+        if not values or (choices is not None and not set(values) <= set(choices)):
+            what = ("at least one entry" if choices is None
+                    else "one or more of " + ", ".join(choices))
+            raise argparse.ArgumentTypeError(f"{name} must name {what}, got {text!r}")
+        return values
+    return parse
+
+
+_alpha = _finite("alpha")
+_alphas = _list("alphas", _alpha)
+_solvers = _list("solvers", choices=sorted(SOLVERS))
 
 
 def _block_size(arg):
@@ -104,15 +113,6 @@ def _build_spec(args, n_features):
     return RegularizerSpec(args.reg, blocks)
 
 
-def _build_config(args, dataset, norm_T=None):
-    cfg = SolverConfig(max_iter=args.max_iter, rel_tol=args.tol, norm_T=norm_T)
-    if args.solver in CONSTRAINED_SOLVERS:
-        cfg.eta = args.alpha * dataset.n_samples
-    else:
-        cfg.lam = 1.0 / args.alpha
-    return cfg
-
-
 def _solver_args(p):
     """The problem and stopping options that train, sweep and bench share;
     train and sweep add `--solver`, bench `--solvers`."""
@@ -122,7 +122,7 @@ def _solver_args(p):
     p.add_argument("--group", default="per-class", choices=["per-class", "cross-class"])
     p.add_argument("--tol", type=_finite("tol"), default=1e-5)
     p.add_argument("--max-iter", type=_count("max-iter"), default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count("seed", minimum=0), default=0)
 
 
 def _data_args(p):
@@ -138,7 +138,8 @@ def cmd_train(args):
     if args.standardize:
         dataset, stats = datamod.standardize(dataset)
     spec = _build_spec(args, dataset.n_features)
-    cfg = _build_config(args, dataset)
+    cfg = SolverConfig.for_alpha(args.solver, args.alpha, dataset.n_samples,
+                                 max_iter=args.max_iter, rel_tol=args.tol)
     report = SOLVERS[args.solver](dataset, spec, cfg)
 
     block_size = groups_text = None
@@ -234,8 +235,9 @@ def cmd_sweep(args):
     for alpha in args.alphas:
         errors, rates, nonzeros, times = [], [], [], []
         for train, test, norm_T in splits:
-            argsolver = argparse.Namespace(**vars(args), alpha=alpha)
-            cfg = _build_config(argsolver, train, norm_T=norm_T)
+            cfg = SolverConfig.for_alpha(args.solver, alpha, train.n_samples,
+                                         max_iter=args.max_iter, rel_tol=args.tol,
+                                         norm_T=norm_T)
             t0 = time.perf_counter()
             try:
                 report = SOLVERS[args.solver](train, spec, cfg)
@@ -275,20 +277,16 @@ def cmd_sweep(args):
 
 def cmd_bench(args):
     dataset = _load_dataset(args.data, args.format)
-    solvers = [s for s in args.solvers.split(",") if s]
-    unknown = [s for s in solvers if s not in SOLVERS]
-    if unknown:
-        raise ValueError(f"unknown solver(s): {', '.join(unknown)}")
     spec = _build_spec(args, dataset.n_features)
     norm_T = operator_norm(dataset).value
 
     lines = ["solver,iteration,rel_distance" + (",time_s" if args.timing else "")]
     all_converged = True
-    for name in solvers:
-        argsolver = argparse.Namespace(**vars(args), solver=name)
-        ref_cfg = _build_config(argsolver, dataset, norm_T=norm_T)
-        ref_cfg.rel_tol = args.tol * args.ref_tol_factor
-        ref_cfg.max_iter = args.max_iter * 10
+    for name in args.solvers:
+        cfg = SolverConfig.for_alpha(name, args.alpha, dataset.n_samples,
+                                     max_iter=args.max_iter, rel_tol=args.tol, norm_T=norm_T)
+        ref_cfg = replace(cfg, max_iter=args.max_iter * 10,
+                          rel_tol=args.tol * args.ref_tol_factor)
         reference = SOLVERS[name](dataset, spec, ref_cfg).model.augmented()
         # near-zero references (e.g. eta >= sum of margins) switch the
         # curve to absolute distances
@@ -304,7 +302,6 @@ def cmd_bench(args):
             distances.append(np.linalg.norm(x_aug - reference) / ref_norm)
             stamps.append(time.perf_counter() - t0)
 
-        cfg = _build_config(argsolver, dataset, norm_T=norm_T)
         report = SOLVERS[name](dataset, spec, cfg, callback=track)
         all_converged &= report.converged
         for i, d in enumerate(distances, start=1):
@@ -363,7 +360,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="distance-to-reference convergence curves")
     _data_args(p)
-    p.add_argument("--solvers", default=",".join(sorted(SOLVERS)))
+    p.add_argument("--solvers", type=_solvers, default=",".join(sorted(SOLVERS)))
     _solver_args(p)
     p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--ref-tol-factor", type=_finite("ref-tol-factor"), default=1e-2,

@@ -92,9 +92,11 @@ def _power_iteration(matvec, rmatvec, v0, tol, max_iter):
 # A start vector must not have all class blocks equal: such vectors are
 # annihilated by T. A fixed seeded draw keeps step sizes reproducible.
 _START_SEED = 0
+_NORM_TOL, _NORM_MAX_ITER = 1e-9, 1000  # default stopping rule of the power iteration
 
 
-def operator_norm(dataset: Dataset, tol: float = 1e-9, max_iter: int = 1000) -> NormEstimate:
+def operator_norm(dataset: Dataset, tol: float = _NORM_TOL,
+                  max_iter: int = _NORM_MAX_ITER) -> NormEstimate:
     """Estimate of ||T|| inflated by a 1.01 safety factor.
 
     Power iteration on T^T T from a deterministic start vector; a
@@ -111,14 +113,12 @@ def operator_norm(dataset: Dataset, tol: float = 1e-9, max_iter: int = 1000) -> 
     return NormEstimate(1.01 * est, converged, its)
 
 
-def features_aug_norm(dataset: Dataset, tol: float = 1e-9, max_iter: int = 1000) -> NormEstimate:
+def features_aug_norm(dataset: Dataset) -> NormEstimate:
     """Estimate of the norm of the augmented feature matrix [features, 1].
 
     Used by the single-block binary solvers, same contract as
-    `operator_norm`.
+    `operator_norm` at its default stopping rule.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     feats = dataset.features
 
     def matvec(v):
@@ -131,5 +131,5 @@ def features_aug_norm(dataset: Dataset, tol: float = 1e-9, max_iter: int = 1000)
         return np.append(w, s.sum())
 
     v0 = np.random.default_rng(_START_SEED).standard_normal(dataset.n_features + 1)
-    est, converged, its = _power_iteration(matvec, rmatvec, v0, tol, max_iter)
+    est, converged, its = _power_iteration(matvec, rmatvec, v0, _NORM_TOL, _NORM_MAX_ITER)
     return NormEstimate(1.01 * est, converged, its)

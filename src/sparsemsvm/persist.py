@@ -8,7 +8,7 @@ exact on the parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class PersistedModel:
     iterations: int = 0
     converged: bool = False
     rel_change: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def regularizer_spec(self) -> RegularizerSpec:
         blocks = None
@@ -83,8 +82,6 @@ def save_model(path, pm: PersistedModel):
         fh.write(f"iterations {pm.iterations}\n")
         fh.write(f"converged {int(pm.converged)}\n")
         fh.write(f"rel_change {_fmt(pm.rel_change)}\n")
-        for key, v in sorted(pm.extra.items()):
-            fh.write(f"{key} {v}\n")
         fh.write("end-header\n")
         aug = m.augmented()
         for k in range(m.n_classes):
@@ -92,6 +89,7 @@ def save_model(path, pm: PersistedModel):
 
 
 def load_model(path) -> PersistedModel:
+    """Read a model file; header keys it does not know are ignored."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
@@ -116,9 +114,6 @@ def load_model(path) -> PersistedModel:
         raise ValueError(f"{path}: malformed parameter block")
     model = ModelVector.from_augmented(np.vstack(rows))
 
-    known = {"classes", "features", "regularizer", "block_size", "groups",
-             "group_mode", "solver", "alpha", "lam", "eta", "iterations",
-             "converged", "rel_change"}
     get = header.get
     return PersistedModel(
         model=model,
@@ -133,5 +128,4 @@ def load_model(path) -> PersistedModel:
         iterations=int(get("iterations", "0")),
         converged=bool(int(get("converged", "0"))),
         rel_change=float(get("rel_change", "0")),
-        extra={k: v for k, v in header.items() if k not in known},
     )

@@ -30,19 +30,27 @@ class SolverConfig:
     """Hyperparameters and stopping rule shared by all solvers.
 
     Exactly one of `lam` (regularized / penalized formulations) or `eta`
-    (constrained formulation) is used by a given solver. Step sizes are
-    derived from the operator norm when left unset; `norm_T` short-circuits
-    the power iteration when the caller already knows the norm.
+    (constrained formulation) is used by a given solver; `for_alpha` sets
+    the one a solver reads. `norm_T`, when set, is a precomputed ||T||,
+    finite and >= 0, that saves re-estimating the operator norm for each
+    point of an alpha grid over one training set.
     """
 
     lam: float | None = None
     eta: float | None = None
-    tau: float | None = None
-    sigma: float | None = None
     max_iter: int = 10000
     rel_tol: float = 1e-5
     record_history: bool = False
     norm_T: float | None = None
+
+    @classmethod
+    def for_alpha(cls, solver, alpha, n_samples, *, max_iter, rel_tol, norm_T=None):
+        """The configuration of `solver` at the sweep parameter `alpha`:
+        the hinge budget eta = alpha * n_samples for the constrained
+        formulation, the hinge weight lam = 1 / alpha for the others."""
+        if solver == "fbpd-con":
+            return cls(eta=alpha * n_samples, max_iter=max_iter, rel_tol=rel_tol, norm_T=norm_T)
+        return cls(lam=1.0 / alpha, max_iter=max_iter, rel_tol=rel_tol, norm_T=norm_T)
 
 
 @dataclass
@@ -71,21 +79,12 @@ def _require(cfg, name):
 
 
 def _norm_T(dataset, cfg):
-    if cfg.norm_T is not None:
-        return float(cfg.norm_T)
-    return operator_norm(dataset).value
-
-
-def _fbpd_steps(cfg, norm_bound):
-    """tau, sigma with tau*sigma*norm_bound^2 <= 1 (symmetric split by default)."""
-    floor = max(norm_bound, 1e-8)
-    tau = cfg.tau if cfg.tau is not None else 1.0 / floor
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / floor
-    if not (tau > 0 and sigma > 0):
-        raise ValueError("step sizes must be positive")
-    if tau * sigma * norm_bound ** 2 > 1.0 + 1e-9:
-        raise ValueError("step sizes violate tau*sigma*||T||^2 <= 1")
-    return tau, sigma
+    """||T||: the caller's `cfg.norm_T`, finite and >= 0, else an estimate."""
+    if cfg.norm_T is None:
+        return operator_norm(dataset).value
+    if not (np.isfinite(cfg.norm_T) and cfg.norm_T >= 0):
+        raise ValueError(f"cfg.norm_T must be finite and >= 0, got {cfg.norm_T!r}")
+    return float(cfg.norm_T)
 
 
 def _rel_change(x_new, x):
@@ -224,8 +223,7 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
     lam = _require(cfg, "lam")
     spec.validate(dataset.n_features)
     K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
-    normT = _norm_T(dataset, cfg)
-    tau, sigma = _fbpd_steps(cfg, normT)
+    tau = sigma = 1.0 / max(_norm_T(dataset, cfg), 1e-8)  # tau*sigma*||T||^2 <= 1
     sigma_r = sigma * make_margin_offsets(dataset)
     y = np.zeros((L, K))
     ext = np.empty((K, M + 1))
@@ -271,8 +269,8 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
     eta = _require(cfg, "eta")
     spec.validate(dataset.n_features)
     K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
-    normT = _norm_T(dataset, cfg)
-    tau, sigma = _fbpd_steps(cfg, max(normT, 1.0))
+    # the (x, zeta) operator diag(T, I) has norm max(||T||, 1)
+    tau = sigma = 1.0 / max(_norm_T(dataset, cfg), 1.0)
     r = make_margin_offsets(dataset)
     zeta = np.zeros(L)
     y = np.zeros((L, K))
@@ -427,5 +425,3 @@ SOLVERS = {
     "fb-logit": solve_logistic_fb,
     "one-vs-all": solve_one_vs_all,
 }
-
-CONSTRAINED_SOLVERS = {"fbpd-con"}

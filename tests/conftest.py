@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import sys
 
@@ -9,6 +10,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from sparsemsvm.model import BlockStructure, Dataset, RegularizerSpec
 
 TINY_M, TINY_K, TINY_L = 2, 3, 5
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_file(path, name):
+    """The Python file at `path` as a module named `name`, loaded from the
+    file without registering it in sys.modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tiny_dataset(seed):

@@ -15,17 +15,16 @@ import pytest
 
 import oracles
 from _frozen import SUBGRADIENT_REFERENCES
-from conftest import random_dataset, spec_from_record, tiny_dataset
-from sparsemsvm.cli import main
+from conftest import SCRIPTS, load_file, random_dataset, spec_from_record, tiny_dataset
+from sparsemsvm.cli import DEFAULT_ALPHAS, _alphas, main
 from sparsemsvm.data import load_dense_csv, make_synthetic, save_dense_csv
-from sparsemsvm.evaluate import evaluate_model
 from sparsemsvm.linop import _apply_T_adjoint_aug, _apply_T_aug, operator_norm
 from sparsemsvm.model import (BlockStructure, ModelVector, RegularizerSpec,
                               make_margin_offsets)
 from sparsemsvm.prox import (project_epigraph_max_rows, project_halfspace_sum,
                              project_l1_ball_rows, project_simplex_rows,
                              prox_regularizer_aug)
-from sparsemsvm.solvers import (SOLVERS, SolverConfig, _logistic_loss_grad,
+from sparsemsvm.solvers import (SolverConfig, _logistic_loss_grad,
                                 _square_loss_grad, solve_constrained_fbpd,
                                 solve_regularized_fbpd)
 
@@ -277,22 +276,6 @@ def test_criterion_6_duality_gap():
 LEUKEMIA_DIR = pathlib.Path(os.environ.get(
     "SPARSEMSVM_LEUKEMIA_DIR",
     pathlib.Path(__file__).resolve().parent.parent / "data" / "leukemia"))
-ALPHA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
-
-
-def _leukemia_best(solver_id, spec, train, test, norm_T, tol=1e-5, max_iter=30000):
-    best = None
-    for alpha in ALPHA_GRID:
-        cfg = SolverConfig(max_iter=max_iter, rel_tol=tol, norm_T=norm_T)
-        if solver_id == "fbpd-con":
-            cfg.eta = alpha * train.n_samples
-        else:
-            cfg.lam = 1.0 / alpha
-        rep = SOLVERS[solver_id](train, spec, cfg)
-        ev = evaluate_model(rep.model, test, spec, lam=cfg.lam)
-        if best is None or ev.error_count < best[0]:
-            best = (ev.error_count, alpha, rep, ev)
-    return best
 
 
 @pytest.mark.skipif(
@@ -308,14 +291,18 @@ def test_criterion_7_leukemia_table():
     norm_T = operator_norm(train).value
     blocks5 = BlockStructure.contiguous(train.n_features, 5)
     details = []
+    run_leukemia = load_file(SCRIPTS / "run_leukemia.py", "run_leukemia")
 
-    errors, alpha, rep, ev = _leukemia_best(
-        "fbpd-reg", RegularizerSpec("l1inf", blocks5), train, test, norm_T)
+    def best(solver_id, spec):
+        # the script's grid search over the CLI's default grid
+        return run_leukemia.best_over_grid(solver_id, spec, train, test,
+                                           _alphas(DEFAULT_ALPHAS), 1e-5, 30000, norm_T)[:4]
+
+    errors, alpha, rep, ev = best("fbpd-reg", RegularizerSpec("l1inf", blocks5))
     assert errors <= 1, f"hinge l1inf: {errors} errors"
     details.append(f"hinge/l1inf {errors}/34 @ alpha={alpha:g}")
 
-    errors, alpha, rep, ev = _leukemia_best(
-        "fbpd-reg", RegularizerSpec("l1"), train, test, norm_T)
+    errors, alpha, rep, ev = best("fbpd-reg", RegularizerSpec("l1"))
     total_nz = int(ev.nonzeros_per_class.sum())
     assert errors <= 3, f"hinge l1: {errors} errors"
     assert 1 <= total_nz < 1000, f"hinge l1 nonzeros {total_nz} (want tens)"
@@ -324,8 +311,7 @@ def test_criterion_7_leukemia_table():
     for solver_id, reg, bl in (("fista-square", "l1inf", blocks5),
                                ("fb-logit", "l12", blocks5),
                                ("one-vs-all", "l1inf", blocks5)):
-        errors, alpha, rep, ev = _leukemia_best(
-            solver_id, RegularizerSpec(reg, bl), train, test, norm_T)
+        errors, alpha, rep, ev = best(solver_id, RegularizerSpec(reg, bl))
         assert errors <= 1, f"{solver_id}/{reg}: {errors} errors (reference: 0)"
         details.append(f"{solver_id}/{reg} {errors}/34")
     report(7, "; ".join(details))

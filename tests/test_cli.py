@@ -61,6 +61,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match=key):
             load_model(path)
 
+    def test_unknown_header_key_is_ignored(self, tmp_path):
+        path = tmp_path / "m.model"
+        pm = PersistedModel(model=ModelVector(np.ones((2, 3)), np.zeros(2)), reg_kind="l1",
+                            solver="fbpd-reg", alpha=0.5, lam=2.0, iterations=9)
+        save_model(path, pm)
+        path.write_text(path.read_text().replace("end-header", "stop_reason tol\nend-header"))
+        back = load_model(path)
+        np.testing.assert_array_equal(back.model.augmented(), pm.model.augmented())
+        back.model = pm.model
+        assert back == pm
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.model"
         path.write_text("something else\n")
@@ -386,6 +397,11 @@ def _commands(train_p, test_p, tmp_path):
      "threshold must be a finite number >= 0"),
     ("--ref-tol-factor", ("bench",), ["0", "-1", "inf"],
      "ref-tol-factor must be a finite number > 0"),
+    ("--seed", ("train", "sweep", "bench"), ["-1", "x", "1.5"],
+     "seed must be an integer >= 0"),
+    ("--alphas", ("sweep",), [",", ""], "alphas must name at least one entry"),
+    ("--solvers", ("bench",), [",", "", "fbpd-reg,foo"],
+     "solvers must name one or more of fb-logit, fbpd-con, fbpd-reg, fista-square, one-vs-all"),
 ])
 def test_bad_option_value_is_usage_error(synthetic_files, tmp_path, capsys,
                                          option, commands, values, message):

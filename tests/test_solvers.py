@@ -37,9 +37,16 @@ def test_config_validation():
         solve_regularized_fbpd(ds, RegularizerSpec("l1"), SolverConfig(eta=1.0))
     with pytest.raises(ValueError):
         solve_constrained_fbpd(ds, RegularizerSpec("l1"), SolverConfig(lam=1.0))
-    with pytest.raises(ValueError):
-        solve_regularized_fbpd(ds, RegularizerSpec("l1"),
-                               SolverConfig(lam=1.0, tau=10.0, sigma=10.0))
+
+
+@pytest.mark.parametrize("name", ["fbpd-reg", "fbpd-con", "fista-square", "fb-logit"])
+@pytest.mark.parametrize("norm_T", [np.nan, np.inf, -1.0])
+def test_bad_norm_T_rejected(name, norm_T):
+    # every solver that reads a caller-supplied ||T|| refuses one that is
+    # not finite and >= 0 before the first iteration
+    cfg = SolverConfig(lam=1.0, eta=1.0, norm_T=norm_T)
+    with pytest.raises(ValueError, match="norm_T must be finite and >= 0"):
+        SOLVERS[name](tiny_dataset(0), RegularizerSpec("l1"), cfg)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -254,12 +261,12 @@ def test_l2sq_dual_gap_and_link():
 def test_boundary_step_sizes_stay_finite():
     ds = tiny_dataset(4)
     truth = np.linalg.svd(oracles.dense_T_matrix(ds), compute_uv=False)[0]
-    cfg = SolverConfig(lam=1.0, tau=1.0 / truth, sigma=1.0 / truth,
-                       norm_T=truth, max_iter=3000, rel_tol=0.0)
+    # with the exact norm (about 4.8) as norm_T, both solvers step with
+    # tau = sigma = 1/truth, at the bound tau * sigma * ||T||^2 = 1
+    cfg = SolverConfig(lam=1.0, norm_T=truth, max_iter=3000, rel_tol=0.0)
     rep = solve_regularized_fbpd(ds, RegularizerSpec("l1"), cfg)
     assert np.all(np.isfinite(rep.model.ravel()))
-    cfg = SolverConfig(eta=2.0, tau=1.0 / max(truth, 1.0), sigma=1.0 / max(truth, 1.0),
-                       norm_T=truth, max_iter=3000, rel_tol=0.0)
+    cfg = SolverConfig(eta=2.0, norm_T=truth, max_iter=3000, rel_tol=0.0)
     rep = solve_constrained_fbpd(ds, RegularizerSpec("l1"), cfg)
     assert np.all(np.isfinite(rep.model.ravel()))
 

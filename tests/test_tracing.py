@@ -8,13 +8,12 @@ attribute of the traced modules, and the items of their dicts (such as
 `cli.SOLVERS`), are restored after the test.
 """
 
-import importlib.util
 import pathlib
 import sys
 
 import pytest
 
-from conftest import tiny_dataset
+from conftest import load_file, tiny_dataset
 from sparsemsvm.model import RegularizerSpec
 from sparsemsvm.solvers import SolverConfig
 
@@ -26,10 +25,7 @@ def launch(monkeypatch):
     """perfbench/launch.py as a module of its own name."""
     before = set(sys.modules)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_launch", PERFBENCH / "launch.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    yield module
+    yield load_file(PERFBENCH / "launch.py", "perfbench_launch")
     for name in set(sys.modules) - before:
         path = getattr(sys.modules[name], "__file__", None)
         if path is not None and pathlib.Path(path).resolve().parent == PERFBENCH:
