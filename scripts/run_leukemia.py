@@ -68,7 +68,7 @@ def main():
     test = load_dense_csv(test_p)
     print(f"train: {train.n_samples} x {train.n_features}, K={train.n_classes}; "
           f"test: {test.n_samples}")
-    norm_T = operator_norm(train).value
+    norm_T = operator_norm(train).checked()
 
     rows = []
     for solver_name in args.solvers.split(","):

@@ -122,7 +122,6 @@ def _solver_args(p):
     p.add_argument("--group", default="per-class", choices=["per-class", "cross-class"])
     p.add_argument("--tol", type=_finite("tol"), default=1e-5)
     p.add_argument("--max-iter", type=_count("max-iter"), default=10000)
-    p.add_argument("--seed", type=_count("seed", minimum=0), default=0)
 
 
 def _data_args(p):
@@ -228,7 +227,7 @@ def cmd_sweep(args):
             train, test = pool, (test_fixed if test_fixed is not None else pool)
         if test is None:
             raise ValueError("sweep needs a test set: pass --test or leave samples out")
-        splits.append((train, test, operator_norm(train).value))
+        splits.append((train, test, operator_norm(train).checked()))
 
     rows, diverged = [], []
     all_converged = True
@@ -278,7 +277,7 @@ def cmd_sweep(args):
 def cmd_bench(args):
     dataset = _load_dataset(args.data, args.format)
     spec = _build_spec(args, dataset.n_features)
-    norm_T = operator_norm(dataset).value
+    norm_T = operator_norm(dataset).checked()
 
     lines = ["solver,iteration,rel_distance" + (",time_s" if args.timing else "")]
     all_converged = True
@@ -352,6 +351,8 @@ def build_parser():
     p.add_argument("--alphas", type=_alphas, default=DEFAULT_ALPHAS)
     p.add_argument("--repeats", type=_count("repeats"), default=1)
     p.add_argument("--train-per-class", type=_count("train-per-class"), default=None)
+    p.add_argument("--seed", type=_count("seed", minimum=0), default=0,
+                   help="seed of the first repetition's split; repetition r uses seed + r")
     p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
     p.add_argument("--timing", action="store_true",
                    help="append a wall-time column (breaks byte-for-byte reproducibility)")
@@ -377,6 +378,9 @@ def main(argv=None):
         return args.func(args)
     except (DataFormatError, DivergenceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

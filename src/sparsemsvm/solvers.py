@@ -79,9 +79,10 @@ def _require(cfg, name):
 
 
 def _norm_T(dataset, cfg):
-    """||T||: the caller's `cfg.norm_T`, finite and >= 0, else an estimate."""
+    """||T||: the caller's `cfg.norm_T`, finite and >= 0, else
+    `operator_norm`'s value, which must not be a non-converged estimate."""
     if cfg.norm_T is None:
-        return operator_norm(dataset).value
+        return operator_norm(dataset).checked()
     if not (np.isfinite(cfg.norm_T) and cfg.norm_T >= 0):
         raise ValueError(f"cfg.norm_T must be finite and >= 0, got {cfg.norm_T!r}")
     return float(cfg.norm_T)
@@ -403,7 +404,7 @@ def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
     if spec.blocks is not None and spec.blocks.mode == "cross-class":
         raise ValueError("one-vs-all cannot honor cross-class groups")
     K, M = dataset.n_classes, dataset.n_features
-    norm_phi = features_aug_norm(dataset).value
+    norm_phi = features_aug_norm(dataset).checked()
     gamma = 1.0 / max(2.0 * lam * norm_phi ** 2, 1e-12)
     sign = np.where(dataset.labels[:, None] == np.arange(K), 1.0, -1.0)
     mu = dataset.margins[:, None]

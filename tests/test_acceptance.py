@@ -361,7 +361,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     for tag in ("a", "b"):
         model_p = tmp_path / f"m_{tag}.model"
         main(["train", "--data", str(data_p), "--solver", "fbpd-reg",
-              "--alpha", "0.5", "--max-iter", "2000", "--seed", "7",
+              "--alpha", "0.5", "--max-iter", "2000",
               "--out", str(model_p)])
         capsys.readouterr()
         main(["eval", "--model", str(model_p), "--data", str(data_p),
@@ -375,7 +375,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         bench_p = tmp_path / f"b_{tag}.csv"
         main(["bench", "--data", str(data_p), "--solvers", "fbpd-reg,fb-logit",
               "--alpha", "1.0", "--tol", "1e-4", "--max-iter", "2000",
-              "--seed", "7", "--out", str(bench_p)])
+              "--out", str(bench_p)])
         capsys.readouterr()
         outs.append((model_p.read_bytes(),
                      (tmp_path / f"m_{tag}.model.report.txt").read_bytes(),

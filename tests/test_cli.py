@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import windowed_residual_check
-from sparsemsvm import cli, solvers
+from sparsemsvm import cli, linop, solvers
 from sparsemsvm.cli import main
 from sparsemsvm.data import load_dense_csv, make_synthetic, save_dense_csv, split
 from sparsemsvm.evaluate import evaluate_model
@@ -397,7 +397,7 @@ def _commands(train_p, test_p, tmp_path):
      "threshold must be a finite number >= 0"),
     ("--ref-tol-factor", ("bench",), ["0", "-1", "inf"],
      "ref-tol-factor must be a finite number > 0"),
-    ("--seed", ("train", "sweep", "bench"), ["-1", "x", "1.5"],
+    ("--seed", ("sweep",), ["-1", "x", "1.5"],
      "seed must be an integer >= 0"),
     ("--alphas", ("sweep",), [",", ""], "alphas must name at least one entry"),
     ("--solvers", ("bench",), [",", "", "fbpd-reg,foo"],
@@ -416,6 +416,50 @@ def test_bad_option_value_is_usage_error(synthetic_files, tmp_path, capsys,
             assert captured.out == ""
             assert f"{message}, got {value!r}" in captured.err
     assert not (tmp_path / "m.model").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_seed_is_a_sweep_option(synthetic_files, tmp_path, capsys, command):
+    # only sweep draws random splits; train and bench have no --seed
+    train_p, test_p = synthetic_files
+    with pytest.raises(SystemExit) as exc:
+        main(_commands(train_p, test_p, tmp_path)[command] + ["--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_unconverged_norm_is_error_line(synthetic_files, tmp_path, capsys, monkeypatch):
+    # a power iteration capped at 2 steps on Grams kept off the exact path
+    monkeypatch.setattr(linop, "EXACT_GRAM_MAX_SIDE", 0)
+    power = linop._power_iteration
+    monkeypatch.setattr(linop, "_power_iteration",
+                        lambda matvec, rmatvec, v0, tol, max_iter:
+                        power(matvec, rmatvec, v0, tol, 2))
+    train_p, test_p = synthetic_files
+    argvs = _commands(train_p, test_p, tmp_path)
+    out = str(tmp_path / "o")
+    one_vs_all = [a if a != "fbpd-reg" else "one-vs-all" for a in argvs["train"]]
+    for argv in (argvs["train"], one_vs_all, argvs["sweep"] + ["--out", out],
+                 argvs["bench"] + ["--out", out]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the operator-norm estimate did not converge "
+                                "in 2 power iterations\n")
+    assert not (tmp_path / "m.model").exists() and not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_is_error_line(tmp_path, capsys):
+    # K = 10^15 classes: the first array of K rows cannot be allocated, so
+    # the failure is immediate and no memory is touched
+    data = tmp_path / "huge.csv"
+    data.write_text("1000000000000000,0.5,1.0\n1,0.25,2.0\n")
+    model = tmp_path / "m.model"
+    assert main(["train", "--data", str(data), "--solver", "fbpd-reg", "--alpha", "1",
+                 "--out", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not model.exists()
 
 
 def test_zero_threshold_counts_every_nonzero(synthetic_files, tmp_path, capsys):

@@ -188,7 +188,7 @@ def test_solvers_match_the_reference_bitwise(K, M, L, seed, kind, mode, csr):
     ds = _dataset(K, M, L, seed, csr)
     blocks = None if mode is None else BlockStructure.contiguous(M, 3, mode=mode)
     spec = RegularizerSpec(kind, blocks)
-    cfg = SolverConfig(lam=1.0, eta=0.3 * L, max_iter=400, rel_tol=1e-5)
+    cfg = SolverConfig(lam=1.0, eta=0.3 * L, max_iter=400, rel_tol=1e-5, norm_T=_ref_norm(ds))
     _assert_same_run(solve_regularized_fbpd(ds, spec, cfg), _ref_regularized(ds, spec, 1.0, cfg))
     _assert_same_run(solve_constrained_fbpd(ds, spec, cfg), _ref_constrained(ds, spec, 0.3 * L, cfg))
 
@@ -199,7 +199,7 @@ def test_converged_runs_match_the_reference_bitwise(csr):
     ds = Dataset(sp.csr_matrix(dense.dense_features()), dense.labels, dense.n_classes,
                  dense.margins) if csr else dense
     spec = RegularizerSpec("l1")
-    cfg = SolverConfig(lam=1.0, eta=3.5, max_iter=20000, rel_tol=1e-7)
+    cfg = SolverConfig(lam=1.0, eta=3.5, max_iter=20000, rel_tol=1e-7, norm_T=_ref_norm(ds))
     reg = solve_regularized_fbpd(ds, spec, cfg)
     con = solve_constrained_fbpd(ds, spec, cfg)
     assert reg.converged and con.converged
@@ -214,7 +214,8 @@ def test_frozen_primal_waits_for_the_dual_as_the_reference_does():
     ds = make_synthetic(3, 6, 30, separation=3.0, seed=0)
     eta = 1.5 * float(ds.margins.sum())
     spec = RegularizerSpec("l1")
-    cfg = SolverConfig(eta=eta, max_iter=5000, rel_tol=1e-6, record_history=True)
+    cfg = SolverConfig(eta=eta, max_iter=5000, rel_tol=1e-6, record_history=True,
+                       norm_T=_ref_norm(ds))
     report = solve_constrained_fbpd(ds, spec, cfg)
     assert report.converged and report.final_rel_change == 0.0
     assert report.history["rel_change"].count(0.0) >= 2

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from conftest import random_dataset
+from sparsemsvm import linop
 from sparsemsvm.linop import (_apply_T_adjoint_aug, _apply_T_aug, features_aug_norm,
                               operator_norm)
+from sparsemsvm.data import make_synthetic
 from sparsemsvm.model import Dataset, ModelVector
 
 
@@ -114,7 +119,8 @@ def test_operator_norm_rejects_bad_tol():
         operator_norm(ds, tol=0.0)
 
 
-def test_operator_norm_nonconvergence_flag():
+def test_operator_norm_nonconvergence_flag(monkeypatch):
+    monkeypatch.setattr(linop, "EXACT_GRAM_MAX_SIDE", 0)
     rng = np.random.default_rng(0)
     ds = random_dataset(rng, L=6, M=4, K=3)
     est = operator_norm(ds, tol=1e-15, max_iter=2)
@@ -131,3 +137,65 @@ def test_features_aug_norm(rng):
         est = features_aug_norm(ds)
         assert abs(est.value - truth) <= 0.011 * truth
 
+
+
+def _norm_case(name, sparse):
+    """Datasets for the exact norms. `tall` (L > M+1) and `wide` (L <= M+1)
+    put the smaller Gram on either side; the others are edge cases."""
+    rng = np.random.default_rng(7)
+    L, M, K = {"tall": (9, 2, 3), "wide": (3, 6, 3), "one-class": (4, 3, 1),
+               "one-sample": (1, 3, 3), "zero-features": (5, 3, 3),
+               "empty-class": (6, 4, 4)}[name]
+    X = np.zeros((L, M)) if name == "zero-features" else rng.standard_normal((L, M))
+    labels = np.arange(L) % K
+    if name == "empty-class":
+        labels = np.where(labels == 1, 2, labels)  # class 1 has no samples
+    if sparse:
+        X[rng.random((L, M)) < 0.4] = 0.0
+        X = sp.csr_matrix(X)
+    return Dataset.from_arrays(X, labels, n_classes=K)
+
+
+NORM_CASES = ["tall", "wide", "one-class", "one-sample", "zero-features", "empty-class"]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("name", NORM_CASES)
+def test_exact_operator_norm_matches_dense_svd(name, sparse):
+    ds = _norm_case(name, sparse)
+    truth = 1.01 * np.linalg.svd(oracles.dense_T_matrix(ds), compute_uv=False)[0]
+    est = operator_norm(ds)
+    assert (est.converged, est.iterations) == (True, 0)
+    # both Grams, whichever operator_norm picks
+    for value in (est.value, linop._exact_norm(linop._gram_TTt(ds)).value,
+                  linop._exact_norm(linop._gram_TtT(ds)).value):
+        if name == "one-class":
+            assert value == 0.0  # T is zero with one class
+        else:
+            assert value == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("name", NORM_CASES)
+def test_exact_features_aug_norm_matches_dense_svd(name, sparse):
+    ds = _norm_case(name, sparse)
+    aug = np.hstack([ds.dense_features(), np.ones((ds.n_samples, 1))])
+    truth = 1.01 * np.linalg.svd(aug, compute_uv=False)[0]
+    est = features_aug_norm(ds)
+    assert (est.converged, est.iterations) == (True, 0)
+    for value in (est.value, linop._exact_norm(linop._gram_rows(ds.features)).value,
+                  linop._exact_norm(linop._gram_cols(ds.features)).value):
+        assert value == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+def test_exact_operator_norm_memory_stays_small():
+    # the leukemia shape: T would be 114 x 21 390 (19.5 MB), the features 2.2 MB
+    ds = make_synthetic(3, 7129, 38, seed=0)
+    tracemalloc.start()
+    try:
+        est = operator_norm(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.iterations == 0
+    assert peak < 0.25 * ds.features.nbytes, peak
