@@ -47,16 +47,17 @@ def best_over_grid(solver_id, spec, train, test, alphas, tol, max_iter, norm_T):
     return best
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--data-dir", default="data/leukemia")
     ap.add_argument("--alphas", type=cli._alphas, default=cli.DEFAULT_ALPHAS)
-    ap.add_argument("--solvers", default="hinge,square,logit,one-vs-all")
-    ap.add_argument("--regs", default=",".join(REGS))
+    ap.add_argument("--solvers", type=cli._list("solvers", choices=list(SOLVER_IDS)),
+                    default=["hinge", "square", "logit", "one-vs-all"])
+    ap.add_argument("--regs", type=cli._list("regs", choices=REGS), default=REGS)
     ap.add_argument("--tol", type=cli._finite("tol"), default=1e-5)
     ap.add_argument("--max-iter", type=cli._count("max-iter"), default=30000)
     ap.add_argument("--out", default=None, help="optional CSV output path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     data_dir = pathlib.Path(args.data_dir)
     train_p = data_dir / "leukemia_train.csv"
@@ -71,9 +72,9 @@ def main():
     norm_T = operator_norm(train).checked()
 
     rows = []
-    for solver_name in args.solvers.split(","):
+    for solver_name in args.solvers:
         solver_id = SOLVER_IDS[solver_name]
-        for reg in args.regs.split(","):
+        for reg in args.regs:
             blocks = None
             if reg in ("l12", "l1inf"):
                 blocks = BlockStructure.contiguous(train.n_features, BLOCK_GENES)

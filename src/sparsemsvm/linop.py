@@ -106,7 +106,7 @@ def _power_iteration(matvec, rmatvec, v0, tol, max_iter):
 # A start vector must not have all class blocks equal: such vectors are
 # annihilated by T. A fixed seeded draw keeps step sizes reproducible.
 _START_SEED = 0
-_NORM_TOL, _NORM_MAX_ITER = 1e-9, 1000  # default stopping rule of the power iteration
+_NORM_TOL, _NORM_MAX_ITER = 1e-9, 1000  # stopping rule of the power iteration
 _SAFETY = 1.01
 
 # Largest Gram side for which a norm is exact. Forming and factoring a
@@ -167,43 +167,36 @@ def _exact_norm(gram):
                         True, 0)
 
 
-def operator_norm(dataset: Dataset, tol: float = _NORM_TOL,
-                  max_iter: int = _NORM_MAX_ITER) -> NormEstimate:
-    """||T|| inflated by a 1.01 safety factor.
-
-    Exact when the smaller of T T^T (side L*K) and T^T T (side K*(M+1)) has
-    side at most EXACT_GRAM_MAX_SIDE: the square root of that Gram's
-    largest eigenvalue, with T itself never formed. Otherwise power
-    iteration on T^T T from a deterministic start vector, stopped by `tol`
-    and `max_iter`; a non-converged run returns the best estimate with
-    `converged=False`.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
-    if min(L, M + 1) * K <= EXACT_GRAM_MAX_SIDE:
-        return _exact_norm(_gram_TTt(dataset) if L <= M + 1 else _gram_TtT(dataset))
-    v0 = np.random.default_rng(_START_SEED).standard_normal((K, M + 1))
-    est, converged, its = _power_iteration(
-        lambda v: _apply_T_aug(v, dataset),
-        lambda w: _apply_T_adjoint_aug(w, dataset),
-        v0, tol, max_iter)
+def _norm(row_side, v_shape, row_gram, col_gram, matvec, rmatvec):
+    """The norm of a map A on arrays of `v_shape`, with the safety factor:
+    exact from the smaller of A A^T (side `row_side`, wins ties) and A^T A
+    when its side is at most EXACT_GRAM_MAX_SIDE, else power iteration on
+    A^T A from the seeded start, which reports whether it converged."""
+    col_side = int(np.prod(v_shape))
+    if min(row_side, col_side) <= EXACT_GRAM_MAX_SIDE:
+        return _exact_norm(row_gram() if row_side <= col_side else col_gram())
+    v0 = np.random.default_rng(_START_SEED).standard_normal(v_shape)
+    est, converged, its = _power_iteration(matvec, rmatvec, v0, _NORM_TOL, _NORM_MAX_ITER)
     return NormEstimate(_SAFETY * est, converged, its)
+
+
+def operator_norm(dataset: Dataset) -> NormEstimate:
+    """||T|| inflated by a 1.01 safety factor, by the rule of `_norm` on
+    T T^T (side L*K) and T^T T (side K*(M+1)); T itself is never formed."""
+    K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
+    return _norm(L * K, (K, M + 1),
+                 lambda: _gram_TTt(dataset), lambda: _gram_TtT(dataset),
+                 lambda v: _apply_T_aug(v, dataset),
+                 lambda w: _apply_T_adjoint_aug(w, dataset))
 
 
 def features_aug_norm(dataset: Dataset) -> NormEstimate:
     """Norm of the augmented feature matrix [features, 1], inflated by a
-    1.01 safety factor.
-
-    Used by the single-block binary solvers, by the rule of
-    `operator_norm`: exact from the smaller of its Grams (sides L and M+1)
-    when that is at most EXACT_GRAM_MAX_SIDE, else power iteration at the
-    default stopping rule.
+    1.01 safety factor, by the rule of `_norm` on its Grams (sides L and
+    M+1). Used by the single-block binary solvers.
     """
     feats = dataset.features
     L, M = feats.shape
-    if min(L, M + 1) <= EXACT_GRAM_MAX_SIDE:
-        return _exact_norm(_gram_rows(feats) if L <= M + 1 else _gram_cols(feats))
 
     def matvec(v):
         return feats @ v[:-1] + v[-1]
@@ -214,6 +207,5 @@ def features_aug_norm(dataset: Dataset) -> NormEstimate:
             w = np.asarray(w).ravel()
         return np.append(w, s.sum())
 
-    v0 = np.random.default_rng(_START_SEED).standard_normal(M + 1)
-    est, converged, its = _power_iteration(matvec, rmatvec, v0, _NORM_TOL, _NORM_MAX_ITER)
-    return NormEstimate(_SAFETY * est, converged, its)
+    return _norm(L, (M + 1,), lambda: _gram_rows(feats), lambda: _gram_cols(feats),
+                 matvec, rmatvec)

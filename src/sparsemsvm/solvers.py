@@ -5,8 +5,7 @@ forward-backward, and one-vs-all squared hinge)."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class SolverConfig:
     eta: float | None = None
     max_iter: int = 10000
     rel_tol: float = 1e-5
-    record_history: bool = False
     norm_T: float | None = None
 
     @classmethod
@@ -55,7 +53,7 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Solution plus convergence diagnostics; optional per-iteration history."""
+    """Solution plus convergence diagnostics."""
 
     model: ModelVector
     iterations: int
@@ -68,7 +66,6 @@ class SolveReport:
     dual_y: np.ndarray | None = None
     dual_objective: float | None = None
     dual_gap: float | None = None
-    history: dict | None = field(default=None, repr=False)
 
 
 def _require(cfg, name):
@@ -88,8 +85,16 @@ def _norm_T(dataset, cfg):
     return float(cfg.norm_T)
 
 
+def _relative(move, size):
+    """`move / size` for a state of norm `size`, with no floor under size:
+    a move off an exactly-zero state is infinite, no move at all is 0."""
+    if size > 0.0:
+        return float(move / size)
+    return 0.0 if move == 0.0 else np.inf
+
+
 def _rel_change(x_new, x):
-    return float(np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-12))
+    return _relative(np.linalg.norm(x_new - x), np.linalg.norm(x))
 
 
 def _dual_change(pairs):
@@ -117,7 +122,7 @@ def _guard(x_aug, norm, objective, cap):
         raise DivergenceError(f"diverged: objective={objective!r}")
 
 
-def _iterate(step, x0, cfg, callback=None, objective=None):
+def _iterate(step, x0, cfg, callback=None):
     """The iteration loop shared by every solver.
 
     `step(x) -> (x_new, dual_rel, obj)` advances one iteration and keeps
@@ -125,35 +130,28 @@ def _iterate(step, x0, cfg, callback=None, objective=None):
     array, since callers may keep every iterate. `dual_rel()` returns the
     relative change of the dual state (`_no_dual_change` for the smooth
     solvers); the stopping rule calls it only when x did not move. `obj`
-    is the objective at x_new when the step computes it anyway, else
-    None, in which case `objective(x)` supplies it for the recorded
-    history. The loop owns the relative change, the divergence guard, the
-    history, the callback and the stopping rule; the norm of x_new serves
-    the guard and, one iteration later, the relative change. The objective
-    cap is OBJECTIVE_CAP times the first known objective (at least 1), so
-    a large `lam * loss` at the start is not mistaken for divergence.
+    is the objective at x_new when the step computes it anyway (the FISTA
+    steps), else None. The loop owns the relative change, the divergence
+    guard, the callback and the stopping rule; the norm of x_new serves
+    the guard and, one iteration later, the relative change. `callback(it,
+    x)` sees every iterate the guard passed and must not change it. The
+    objective cap applies to the steps that hand an objective: OBJECTIVE_CAP
+    times the first one (at least 1), so a large `lam * loss` at the start
+    is not mistaken for divergence.
 
-    Returns (x, iterations, converged, final relative change, history).
+    Returns (x, iterations, converged, final relative change).
     """
-    hist = {"objective": [], "rel_change": [], "time": []} if cfg.record_history else None
-    t0 = time.perf_counter()
     x, rel, converged, it, cap = x0, np.inf, False, 0, None
     norm_x = np.linalg.norm(x0)
     diff = np.empty_like(x0)
     for it in range(1, cfg.max_iter + 1):
         x_new, dual_rel, obj = step(x)
         np.subtract(x_new, x, out=diff)
-        rel = float(np.linalg.norm(diff) / max(norm_x, 1e-12))
+        rel = _relative(np.linalg.norm(diff), norm_x)
         x, norm_x = x_new, np.linalg.norm(x_new)
-        if obj is None and hist is not None:
-            obj = objective(x)
         if cap is None and obj is not None:
             cap = OBJECTIVE_CAP * max(1.0, abs(obj))
         _guard(x, norm_x, obj, cap)
-        if hist is not None:
-            hist["objective"].append(obj)
-            hist["rel_change"].append(rel)
-            hist["time"].append(time.perf_counter() - t0)
         if callback is not None:
             callback(it, x)
         # a bit-exact frozen primal only counts as converged once the dual
@@ -161,7 +159,7 @@ def _iterate(step, x0, cfg, callback=None, objective=None):
         if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel() <= cfg.rel_tol):
             converged = True
             break
-    return x, it, converged, rel if it else 0.0, hist
+    return x, it, converged, rel if it else 0.0
 
 
 def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
@@ -171,12 +169,12 @@ def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
     and, with `eta` set, the report carries the hinge budget violation.
     The squared-l2 penalty with a dual iterate also gets its Fenchel gap.
     """
-    x, it, converged, rel, hist = run
+    x, it, converged, rel = run
     obj = objective_value(x, dataset, spec, lam)
     report = SolveReport(model=ModelVector.from_augmented(x), iterations=it,
                          converged=converged, final_rel_change=rel,
                          g_value=obj.g_value, hinge_sum=obj.hinge_sum,
-                         primal_objective=obj.total, dual_y=dual_y, history=hist)
+                         primal_objective=obj.total, dual_y=dual_y)
     if eta is not None:
         report.constraint_violation = max(0.0, obj.hinge_sum - eta)
     if lam is not None and dual_y is not None and spec.kind == "l2sq":
@@ -238,8 +236,7 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
         y = y_new
         return x_new, dual_rel, None
 
-    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
-                   lambda x: objective_value(x, dataset, spec, lam).total)
+    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, lam=lam, dual_y=y)
 
 
@@ -291,8 +288,7 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
         zeta, y, xi = zeta_new, y_new, xi_new
         return x_new, dual_rel, None
 
-    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
-                   lambda x: regularizer_value(x, spec))
+    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, eta=eta, dual_y=y)
 
 
@@ -382,9 +378,7 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
         _, grad = _logistic_loss_grad(x, dataset, r, lam)
         return prox_regularizer_aug(x - gamma * grad, spec, gamma), _no_dual_change, None
 
-    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback,
-                   lambda x: _logistic_loss_grad(x, dataset, r, lam)[0]
-                   + regularizer_value(x, spec))
+    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, lam=lam)
 
 
@@ -395,9 +389,9 @@ def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
 
     Block k's binary target is +1 on class k's samples and -1 elsewhere.
     The loss and every accepted penalty separate over the blocks, so each
-    stacked iteration advances all K problems; `max_iter`, the history and
-    the callback count stacked iterations. Cross-class groupings couple
-    the blocks and are rejected.
+    stacked iteration advances all K problems; `max_iter` and the callback
+    count stacked iterations. Cross-class groupings couple the blocks and
+    are rejected.
     """
     lam = _require(cfg, "lam")
     spec.validate(dataset.n_features)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import windowed_residual_check
+from conftest import RelChanges, windowed_residual_check
 from sparsemsvm import cli, linop, solvers
 from sparsemsvm.cli import main
 from sparsemsvm.data import load_dense_csv, make_synthetic, save_dense_csv, split
@@ -355,15 +355,16 @@ class TestBench:
 
         # the monotone-window residual check from the solver invariants,
         # applied to the benchmarked configuration (the bench run is
-        # deterministic, so a history-recording re-run retraces it)
+        # deterministic, so a re-run watched by a callback retraces it)
         train = load_dense_csv(train_p)
+        rels = RelChanges()
         rep = SOLVERS["fbpd-reg"](train, RegularizerSpec("l2sq"),
                                   SolverConfig(lam=2.0, rel_tol=1e-5,
-                                               max_iter=6000,
-                                               record_history=True))
+                                               max_iter=6000),
+                                  callback=rels)
         n_rows = sum(1 for l in lines if l.startswith("fbpd-reg"))
         assert rep.iterations == n_rows  # identical iterate counts
-        assert windowed_residual_check(rep.history["rel_change"])
+        assert windowed_residual_check(rels.values)
 
 
     def test_zero_alpha_is_usage_error(self, synthetic_files, capsys):
@@ -431,10 +432,7 @@ def test_seed_is_a_sweep_option(synthetic_files, tmp_path, capsys, command):
 def test_unconverged_norm_is_error_line(synthetic_files, tmp_path, capsys, monkeypatch):
     # a power iteration capped at 2 steps on Grams kept off the exact path
     monkeypatch.setattr(linop, "EXACT_GRAM_MAX_SIDE", 0)
-    power = linop._power_iteration
-    monkeypatch.setattr(linop, "_power_iteration",
-                        lambda matvec, rmatvec, v0, tol, max_iter:
-                        power(matvec, rmatvec, v0, tol, 2))
+    monkeypatch.setattr(linop, "_NORM_MAX_ITER", 2)
     train_p, test_p = synthetic_files
     argvs = _commands(train_p, test_p, tmp_path)
     out = str(tmp_path / "o")

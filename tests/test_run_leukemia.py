@@ -41,3 +41,13 @@ def test_best_over_grid_takes_the_first_fewest_errors(monkeypatch, solver_id):
                        for a in ALPHAS]
     if solver_id == "fbpd-con":  # the hinge budget is alpha times the training set size
         assert [cfg.eta for cfg in configs] == [a * train.n_samples for a in ALPHAS]
+
+
+@pytest.mark.parametrize("option, value", [("--solvers", "hinge,bogus"), ("--regs", "l3")])
+def test_unknown_list_entry_is_usage_error(tmp_path, capsys, option, value):
+    # the data directory is empty: a usage error must come before any read
+    run_leukemia = load_file(SCRIPTS / "run_leukemia.py", "run_leukemia")
+    with pytest.raises(SystemExit) as exc:
+        run_leukemia.main(["--data-dir", str(tmp_path), option, value])
+    assert exc.value.code == 2
+    assert f"{option[2:]} must name one or more of" in capsys.readouterr().err

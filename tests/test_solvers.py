@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from _frozen import SUBGRADIENT_REFERENCES
-from conftest import (random_dataset, spec_from_record, tiny_dataset,
+from conftest import (RelChanges, random_dataset, spec_from_record, tiny_dataset,
                       windowed_residual_check)
 from sparsemsvm.evaluate import hinge_sum, predict
 from sparsemsvm.linop import _apply_T_adjoint_aug, features_aug_norm
@@ -195,8 +195,8 @@ def _per_class_one_vs_all(ds, spec, cfg):
             gw = np.asarray(ds.features.T @ coeff).ravel()
             return lam * float((gap ** 2).sum()), np.append(gw, coeff.sum())[None, :]
 
-        xb, _, converged, _, _ = _fista(np.zeros((1, ds.n_features + 1)),
-                                        loss_grad, spec, gamma, cfg)
+        xb, _, converged, _ = _fista(np.zeros((1, ds.n_features + 1)),
+                                    loss_grad, spec, gamma, cfg)
         assert converged
         total += loss_grad(xb)[0] + regularizer_value(xb, spec)
         losses.append(loss_grad)
@@ -285,19 +285,18 @@ def test_windowed_residuals_nonincreasing(mode):
     # the smoothed residual must decay once the start-up transient (primal
     # pinned at zero while the dual warms up) has peaked
     ds = tiny_dataset(42)
+    rels = RelChanges()
     if mode == "reg":
-        cfg = SolverConfig(lam=1.0, max_iter=100000, rel_tol=1e-7,
-                           record_history=True)
-        rep = solve_regularized_fbpd(ds, RegularizerSpec("l1"), cfg)
+        cfg = SolverConfig(lam=1.0, max_iter=100000, rel_tol=1e-7)
+        rep = solve_regularized_fbpd(ds, RegularizerSpec("l1"), cfg, callback=rels)
     else:
         warm = solve_regularized_fbpd(ds, RegularizerSpec("l1"),
                                       SolverConfig(lam=1.0, max_iter=100000,
                                                    rel_tol=1e-9))
-        cfg = SolverConfig(eta=warm.hinge_sum, max_iter=100000, rel_tol=1e-7,
-                           record_history=True)
-        rep = solve_constrained_fbpd(ds, RegularizerSpec("l1"), cfg)
+        cfg = SolverConfig(eta=warm.hinge_sum, max_iter=100000, rel_tol=1e-7)
+        rep = solve_constrained_fbpd(ds, RegularizerSpec("l1"), cfg, callback=rels)
     assert rep.iterations >= 150
-    assert windowed_residual_check(rep.history["rel_change"])
+    assert windowed_residual_check(rels.values)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -312,17 +311,6 @@ def test_prediction_invariant_to_common_offset_shift(name, rng):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_history_recording(name):
-    ds = tiny_dataset(5)
-    rep = SOLVERS[name](ds, RegularizerSpec("l1"),
-                        SolverConfig(lam=1.0, eta=1.0, max_iter=50, rel_tol=0.0,
-                                     record_history=True))
-    assert rep.iterations == 50
-    for key in ("objective", "rel_change", "time"):
-        assert len(rep.history[key]) == rep.iterations
-
-
-@pytest.mark.parametrize("name", sorted(SOLVERS))
 def test_callback_sees_every_iteration(name):
     ds = tiny_dataset(5)
     seen = []
@@ -331,6 +319,18 @@ def test_callback_sees_every_iteration(name):
                         callback=lambda i, x: seen.append(i))
     assert seen == list(range(1, rep.iterations + 1))
     assert rep.iterations == 20
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_watching_a_run_does_not_change_it(name):
+    ds = tiny_dataset(5)
+    cfg = SolverConfig(lam=1.0, eta=1.0, max_iter=3000, rel_tol=1e-6)
+    plain = SOLVERS[name](ds, RegularizerSpec("l1"), cfg)
+    watched = SOLVERS[name](ds, RegularizerSpec("l1"), cfg, callback=lambda it, x: None)
+    np.testing.assert_array_equal(watched.model.augmented(), plain.model.augmented())
+    np.testing.assert_array_equal(watched.dual_y, plain.dual_y)  # None for the smooth solvers
+    assert ((watched.iterations, watched.converged, watched.final_rel_change)
+            == (plain.iterations, plain.converged, plain.final_rel_change))
 
 
 def test_hinge_sum_nonnegative_across_solvers(rng):
