@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .model import Dataset
+from .model import Dataset, issparse
 
 
 class DataFormatError(ValueError):
@@ -35,7 +34,8 @@ def load_dense_csv(path) -> Dataset:
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: label {cells[0]!r} is not an integer") from None
             try:
-                feats = [float(c) for c in cells[1:]]
+                # numpy casts each str as float() does: same values, same rejects
+                feats = np.array(cells[1:], dtype=np.float64)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
             if rows and len(feats) != len(rows[0]):
@@ -112,12 +112,14 @@ def load_sparse_svmlight(path, n_features=None) -> Dataset:
     M = n_features if n_features is not None else max_idx
     if max_idx > M:
         raise DataFormatError(f"{path}: index {max_idx} exceeds n_features={M}")
+    import scipy.sparse as sp
     feats = sp.csr_matrix((data, indices, indptr), shape=(len(labels), M))
     return Dataset.from_arrays(feats, labels, one_based=True)
 
 
 def save_sparse_svmlight(path, dataset: Dataset):
     """Inverse of `load_sparse_svmlight`; writes the nonzero entries only."""
+    import scipy.sparse as sp
     feats = sp.csr_matrix(dataset.features) if not sp.issparse(dataset.features) \
         else dataset.features.tocsr()
     with open(path, "w") as fh:
@@ -142,7 +144,8 @@ def standardize(dataset: Dataset):
     they stay sparse: their stats hold a mean of 0. Returns the transformed
     dataset and the stats, which can be replayed on held-out data with
     `apply_standardize`."""
-    if sp.issparse(dataset.features):
+    if issparse(dataset.features):
+        import scipy.sparse as sp
         X = sp.csr_matrix(dataset.features, copy=True)
         X.sum_duplicates()
         n, M = X.shape
@@ -175,7 +178,8 @@ def apply_standardize(dataset: Dataset, stats: StandardizeStats) -> Dataset:
     if stats.scale.shape != (dataset.n_features,):
         raise ValueError(f"standardize stats cover {stats.scale.size} features, "
                          f"the data has {dataset.n_features}")
-    if sp.issparse(dataset.features) and not np.any(stats.mean):
+    if issparse(dataset.features) and not np.any(stats.mean):
+        import scipy.sparse as sp
         feats = sp.csr_matrix(dataset.features, copy=True)
         feats.data /= stats.scale[feats.indices]
     else:

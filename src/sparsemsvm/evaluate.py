@@ -6,10 +6,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linop import _apply_T_aug
-from .model import Dataset, ModelVector, RegularizerSpec, make_margin_offsets
+from .model import Dataset, ModelVector, RegularizerSpec, issparse, make_margin_offsets
 from .prox import _group_rows, regularizer_value
 
 NONZERO_THRESHOLD = 1e-5
@@ -35,7 +34,7 @@ class EvalReport:
 def scores(model: ModelVector, features):
     """Per-class discriminating values phi~(u)^T x^(k); (n, K) for a batch."""
     feats = features
-    single = not sp.issparse(feats) and np.asarray(feats).ndim == 1
+    single = not issparse(feats) and np.asarray(feats).ndim == 1
     if single:
         feats = np.asarray(feats, dtype=np.float64)[None, :]
     if feats.shape[1] != model.n_features:

@@ -3,16 +3,27 @@ structures and margin offsets."""
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 REGULARIZER_KINDS = ("l1", "l12", "l1inf", "l2sq")
 GROUP_MODES = ("per-class", "cross-class")
+
+
+def issparse(a):
+    """`scipy.sparse.issparse(a)` without importing scipy, which only
+    sparse data needs: no sparse matrix exists before scipy.sparse is
+    imported."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(a)
 
 
 def _readonly(a):
@@ -87,14 +98,15 @@ class Dataset:
     convention. Immutable after construction.
     """
 
-    features: np.ndarray | sp.csr_matrix
+    features: np.ndarray | scipy.sparse.csr_matrix
     labels: np.ndarray  # (L,), 0-based
     n_classes: int
     margins: np.ndarray  # (L,), all > 0
 
     def __post_init__(self):
         feats = self.features
-        if sp.issparse(feats):
+        if issparse(feats):
+            import scipy.sparse as sp
             feats = sp.csr_matrix(feats, dtype=np.float64)
         else:
             feats = _readonly(feats)
@@ -144,7 +156,7 @@ class Dataset:
         return self.features.shape[1]
 
     def dense_features(self):
-        if sp.issparse(self.features):
+        if issparse(self.features):
             return np.asarray(self.features.todense())
         return self.features
 

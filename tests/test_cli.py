@@ -1,5 +1,15 @@
+import contextlib
+import io
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import RelChanges, windowed_residual_check
 from sparsemsvm import cli, linop, solvers
@@ -481,3 +491,171 @@ def test_sweep_byte_determinism(synthetic_files, tmp_path, capsys):
     main(args + ["--out", str(out2)])
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# scipy is imported only for sparse data
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code, tmp_path):
+    """Run `code` in a new interpreter with the package on its path and
+    `tmp_path` as sys.argv[1]; return its last line of standard output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_dense_train_and_eval_never_import_scipy(tmp_path):
+    code = """
+import sys
+from sparsemsvm import cli
+from sparsemsvm.data import make_synthetic, save_dense_csv
+d = sys.argv[1]
+save_dense_csv(d + "/train.csv", make_synthetic(3, 40, 24, seed=0))
+codes = [cli.main(["train", "--data", d + "/train.csv", "--solver", "fbpd-con",
+                   "--alpha", "0.1", "--max-iter", "200", "--standardize",
+                   "--out", d + "/m.model"]),
+         cli.main(["eval", "--model", d + "/m.model", "--data", d + "/train.csv"])]
+print(codes, "scipy.sparse" in sys.modules)
+"""
+    assert _fresh_python(code, tmp_path) == "[2, 0] False"
+
+
+SPARSE_IN_A_FRESH_PROCESS = {
+    "svmlight": r"""
+import sys
+from sparsemsvm import cli
+d = sys.argv[1]
+with open(d + "/train.txt", "w") as fh:
+    fh.write("1 1:1.5 3:0.5\n2 2:2.0\n3 3:-1.0 4:0.25\n1 1:1.0\n2 2:1.0 4:-0.5\n3 3:-2.0\n")
+codes = [cli.main(["train", "--data", d + "/train.txt", "--format", "svmlight",
+                   "--solver", "fbpd-reg", "--alpha", "1", "--max-iter", "50",
+                   "--out", d + "/m.model"]),
+         cli.main(["eval", "--model", d + "/m.model", "--data", d + "/train.txt",
+                   "--format", "svmlight"])]
+print(codes)
+""",
+    "standardize": """
+import numpy as np
+import scipy.sparse as sp
+from sparsemsvm.data import make_synthetic, standardize
+from sparsemsvm.model import Dataset
+ds = make_synthetic(3, 6, 20, seed=2)
+X = ds.dense_features().copy()
+X[np.abs(X) < 0.8] = 0.0
+scaled, stats = standardize(Dataset(sp.csr_matrix(X), ds.labels, ds.n_classes, ds.margins))
+print(sp.issparse(scaled.features),
+      np.allclose(scaled.dense_features(), X / np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)))
+""",
+    "dataset": """
+import numpy as np
+import scipy.sparse as sp
+from sparsemsvm.model import Dataset
+ds = Dataset.from_arrays(sp.coo_matrix(np.array([[0.0, 2.0], [1.0, 0.0]])), [1, 2], one_based=True)
+print(ds.features.format, ds.features.dtype, ds.dense_features().tolist())
+""",
+}
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("svmlight", "[2, 0]"),
+    ("standardize", "True True"),
+    ("dataset", "csr float64 [[0.0, 2.0], [1.0, 0.0]]"),
+])
+def test_sparse_inputs_work_in_a_fresh_process(tmp_path, case, expected):
+    assert _fresh_python(SPARSE_IN_A_FRESH_PROCESS[case], tmp_path) == expected
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the CSV reader through `train`
+
+def _small_labels(content, largest=20):
+    """False when a line's label parses to an integer above `largest`: such a
+    file is valid, and training on that many classes only costs time."""
+    try:
+        lines = content.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return True
+    for line in lines:
+        try:
+            if int(line.strip().split(",")[0]) > largest:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+def _train_on(content):
+    """(exit code, stderr) of `train` on a CSV file holding `content`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "x.csv")
+        with open(data, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", "--data", data, "--solver", "fbpd-reg", "--alpha", "1",
+                         "--max-iter", "3", "--out", os.path.join(tmp, "m.model")])
+        return code, err.getvalue().replace(data, "x.csv")
+
+
+CELL = st.one_of(
+    st.sampled_from(["1", "2", "0.5", "-3e-2", "nan"]),
+    st.text(st.sampled_from(list("0123456789.-+eE_xnaifINF \t\x00") + ["\u0661", "\xe9"]),
+            max_size=6))
+CSV_TEXT = st.lists(st.lists(CELL, min_size=1, max_size=5), max_size=5).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8"))
+
+
+@given(st.one_of(st.binary(max_size=120), CSV_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_csv_ends_in_a_result_or_one_error_line(content):
+    assume(_small_labels(content))
+    code, err = _train_on(content)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        # a file that happens to be valid trains; 3 iterations do not converge
+        assert code in (0, 2) and err == ""
+
+
+def _rejects(parse, token):
+    try:
+        parse(token)
+    except ValueError:
+        return True
+    return False
+
+
+PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=","),
+                    max_size=6)
+
+
+@given(rows=st.lists(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+                     min_size=2, max_size=5),
+       blank=st.integers(0, 2), where=st.data(),
+       defect=st.sampled_from(["cell", "non-finite", "ragged", "label", "label<1"]))
+@settings(max_examples=200, deadline=None)
+def test_a_bad_row_is_one_error_line_naming_its_line(rows, blank, where, defect):
+    r = where.draw(st.integers(1, len(rows) - 1))
+    lines = [[str(i % 3 + 1)] + [format(v, ".17g") for v in row] for i, row in enumerate(rows)]
+    if defect == "cell":
+        lines[r][where.draw(st.integers(1, 3))] = where.draw(
+            PRINTABLE.filter(lambda t: _rejects(float, t)))
+    elif defect == "non-finite":
+        lines[r][where.draw(st.integers(1, 3))] = where.draw(
+            st.sampled_from(["nan", "-inf", "Infinity", "1e999"]))
+    elif defect == "ragged":
+        del lines[r][-1]
+    elif defect == "label":
+        lines[r][0] = where.draw(PRINTABLE.filter(lambda t: _rejects(int, t)))
+    else:
+        lines[r][0] = where.draw(st.sampled_from(["0", "-1", "-12"]))
+    text = "\n" * blank + "\n".join(",".join(cells) for cells in lines) + "\n"
+    code, err = _train_on(text.encode("ascii"))
+    assert code == 1
+    assert err.startswith(f"error: x.csv:{blank + r + 1}: ") and err.count("\n") == 1, err

@@ -1,6 +1,13 @@
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsemsvm.data import (DataFormatError, apply_standardize, load_dense_csv,
                              load_sparse_svmlight, load_standardize_stats,
@@ -48,6 +55,35 @@ class TestDenseCsv:
         p.write_text(f"1,0.5,1.5\n\n2,{cell},0\n")
         with pytest.raises(DataFormatError, match=r"f\.csv:3: non-finite"):
             load_dense_csv(p)
+
+    @pytest.mark.parametrize("cell", [" 1.5", "1_0", "0x10", "", "infinity", "+nan", "1d5",
+                                      "--1", "1e", "\u0661.\u0665", "4.9e-324", "-0"])
+    def test_cells_parse_as_float_does(self, tmp_path, cell):
+        p = tmp_path / "c.csv"
+        p.write_text(f"1,0.5,{cell},2\n", encoding="utf-8")
+        try:
+            value = float(cell)
+        except ValueError:
+            with pytest.raises(DataFormatError, match=r"c\.csv:1: non-numeric"):
+                load_dense_csv(p)
+            return
+        if not math.isfinite(value):
+            with pytest.raises(DataFormatError, match=r"c\.csv:1: non-finite"):
+                load_dense_csv(p)
+            return
+        got = load_dense_csv(p).dense_features()[0, 1]
+        assert got.tobytes() == np.float64(value).tobytes()
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_matrices_load_back_bitwise(self, X):
+        ds = Dataset.from_arrays(X, np.arange(X.shape[0]) % 2, n_classes=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "m.csv")
+            save_dense_csv(p, ds)
+            again = load_dense_csv(p).dense_features()
+        assert again.tobytes() == X.tobytes()
 
     def test_round_trip(self, tmp_path, rng):
         ds = make_synthetic(3, 5, 20, seed=3)

@@ -6,7 +6,9 @@ each step written as one numpy expression per line, `T` as
 `features @ W.T`, `T^T` through `hstack`, the dual relative changes taken
 every iteration and the guard's two entrywise passes on every iterate.
 The solvers compute the same operations in the same order, in place and
-with fewer passes, so their iterates must match it bit for bit.
+with fewer passes, so their iterates must match it bit for bit, except
+where `T` skips the iterate's zero weight columns, which sums in another
+order.
 """
 
 import numpy as np
@@ -14,11 +16,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import RelChanges, tiny_dataset
+from sparsemsvm import linop
 from sparsemsvm.data import make_synthetic, split
 from sparsemsvm.linop import _power_iteration
 from sparsemsvm.model import BlockStructure, Dataset, RegularizerSpec, make_margin_offsets
 from sparsemsvm.prox import (_block_soft_threshold_rows, _group_rows, _linf_prox_rows,
-                             _ungroup_rows, project_halfspace_sum, project_simplex_rows)
+                             _ungroup_rows, project_halfspace_sum, project_simplex_rows,
+                             regularizer_value)
 from sparsemsvm.solvers import (OBJECTIVE_CAP, DivergenceError, SolverConfig, _guard,
                                 _iterate, _no_dual_change, _rel_change,
                                 solve_constrained_fbpd, solve_regularized_fbpd)
@@ -208,6 +212,26 @@ def test_converged_runs_match_the_reference_bitwise(csr):
     assert reg.converged and con.converged
     _assert_same_run(reg, _ref_regularized(ds, spec, 1.0, cfg))
     _assert_same_run(con, _ref_constrained(ds, spec, 3.5, cfg))
+
+
+def test_sparse_iterates_take_T_over_their_active_columns():
+    # M=2000 puts the iterates, 45-65 nonzero weight columns after the
+    # first few iterations, below the share for which T skips the zero
+    # columns; that sums in another order than the reference's full GEMM,
+    # so the runs agree to rounding, not bit for bit
+    ds = make_synthetic(3, 2000, 30, separation=3.0, seed=0)
+    spec = RegularizerSpec("l1")
+    cfg = SolverConfig(eta=3.0, max_iter=600, rel_tol=1e-12, norm_T=_ref_norm(ds))
+    limit = linop.ACTIVE_COLUMNS_MAX_SHARE * ds.n_features
+    active = []
+    report = solve_constrained_fbpd(
+        ds, spec, cfg, callback=lambda it, x: active.append(np.count_nonzero(x[:, :-1].any(axis=0))))
+    x, _, it, converged, _ = _ref_constrained(ds, spec, 3.0, cfg)
+    assert (report.iterations, report.converged) == (it, converged) == (600, False)
+    assert sum(n <= limit for n in active) >= 590 and max(active) > limit
+    got = report.model.augmented()
+    assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
+    assert report.g_value == pytest.approx(regularizer_value(x, spec), rel=1e-9, abs=0.0)
 
 
 def test_frozen_primal_waits_for_the_dual_as_the_reference_does():

@@ -194,3 +194,44 @@ def test_exact_operator_norm_memory_stays_small():
         tracemalloc.stop()
     assert est.iterations == 0
     assert peak < 0.25 * ds.features.nbytes, peak
+
+
+def _restricted_case(n_active, K=3, M=2000, L=30):
+    """A dense dataset and an iterate whose weights are nonzero in
+    `n_active` random columns only, with nonzero offsets."""
+    rng = np.random.default_rng(n_active)
+    ds = make_synthetic(K, M, L, seed=1)
+    x = np.zeros((K, M + 1))
+    cols = rng.choice(M, n_active, replace=False)
+    x[:, cols] = rng.standard_normal((K, n_active))
+    x[:, -1] = rng.standard_normal(K)
+    return ds, x
+
+
+@pytest.mark.parametrize("n_active", ["none", "one", "at-share", "above-share"])
+def test_T_over_the_active_columns_matches_the_full_product(n_active):
+    M = 2000
+    at_share = int(linop.ACTIVE_COLUMNS_MAX_SHARE * M)
+    count = {"none": 0, "one": 1, "at-share": at_share, "above-share": at_share + 1}[n_active]
+    ds, x = _restricted_case(count, M=M)
+    assert np.flatnonzero(x[:, :-1].any(axis=0)).size == count
+    scores = ds.features @ x[:, :-1].T + x[:, -1]
+    expected = scores - scores[np.arange(ds.n_samples), ds.labels][:, None]
+    got = _apply_T_aug(x, ds)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert np.all(got[np.arange(ds.n_samples), ds.labels] == 0.0)
+    assert linop._scores_aug(x, ds).flags.c_contiguous
+    if count == 0:
+        # no weight column enters: every score is its class's offset
+        np.testing.assert_array_equal(linop._scores_aug(x, ds),
+                                      np.broadcast_to(x[:, -1], (ds.n_samples, 3)))
+
+
+def test_T_below_the_share_never_reads_a_zero_weight_column():
+    # a full GEMM would turn 0 * nan into nan; over the active columns the
+    # nan column never enters
+    ds, x = _restricted_case(5)
+    feats = ds.dense_features().copy()
+    feats[:, np.flatnonzero(~x[:, :-1].any(axis=0))[::7]] = np.nan
+    with_nan = Dataset(feats, ds.labels, ds.n_classes, ds.margins)
+    np.testing.assert_array_equal(_apply_T_aug(x, with_nan), _apply_T_aug(x, ds))
