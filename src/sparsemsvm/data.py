@@ -34,7 +34,8 @@ def load_dense_csv(path) -> Dataset:
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: label {cells[0]!r} is not an integer") from None
             try:
-                # numpy casts each str as float() does: same values, same rejects
+                # numpy 2.4 casts each str as float() does: same values, same
+                # rejects; test_cells_parse_as_float_does checks the numpy in use
                 feats = np.array(cells[1:], dtype=np.float64)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None

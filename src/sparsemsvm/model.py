@@ -96,6 +96,11 @@ class Dataset:
     sparse rows never enter dot products. Labels are stored 0-based
     internally; converters at ingestion accept the external 1-based
     convention. Immutable after construction.
+
+    The `features` annotation names scipy.sparse, which this module imports
+    for type checkers only, so that dense data never loads scipy; resolving
+    it at run time takes `typing.get_type_hints(Dataset,
+    localns={"scipy": scipy})`.
     """
 
     features: np.ndarray | scipy.sparse.csr_matrix

@@ -196,24 +196,32 @@ def test_exact_operator_norm_memory_stays_small():
     assert peak < 0.25 * ds.features.nbytes, peak
 
 
-def _restricted_case(n_active, K=3, M=2000, L=30):
+def _restricted_case(n_active, K=3, M=2000, L=30, first=False):
     """A dense dataset and an iterate whose weights are nonzero in
-    `n_active` random columns only, with nonzero offsets."""
+    `n_active` columns only, random ones or the first, with nonzero
+    offsets."""
     rng = np.random.default_rng(n_active)
     ds = make_synthetic(K, M, L, seed=1)
     x = np.zeros((K, M + 1))
-    cols = rng.choice(M, n_active, replace=False)
+    cols = np.arange(n_active) if first else rng.choice(M, n_active, replace=False)
     x[:, cols] = rng.standard_normal((K, n_active))
     x[:, -1] = rng.standard_normal(K)
     return ds, x
 
 
-@pytest.mark.parametrize("n_active", ["none", "one", "at-share", "above-share"])
-def test_T_over_the_active_columns_matches_the_full_product(n_active):
-    M = 2000
-    at_share = int(linop.ACTIVE_COLUMNS_MAX_SHARE * M)
-    count = {"none": 0, "one": 1, "at-share": at_share, "above-share": at_share + 1}[n_active]
-    ds, x = _restricted_case(count, M=M)
+_M = 2000
+_AT_SHARE = int(linop.ACTIVE_COLUMNS_MAX_SHARE * _M)
+
+
+# the first cap + 1 columns all nonzero in row 0 settle a dense iterate
+# without the full scan; the first cap columns alone do not
+@pytest.mark.parametrize("count, first", [(0, False), (1, False), (_AT_SHARE, False),
+                                          (_AT_SHARE + 1, False), (_AT_SHARE, True),
+                                          (_AT_SHARE + 1, True), (_M, True)],
+                         ids=["none", "one", "at-share", "above-share", "first-at-share",
+                              "first-above-share", "dense"])
+def test_T_over_the_active_columns_matches_the_full_product(count, first):
+    ds, x = _restricted_case(count, M=_M, first=first)
     assert np.flatnonzero(x[:, :-1].any(axis=0)).size == count
     scores = ds.features @ x[:, :-1].T + x[:, -1]
     expected = scores - scores[np.arange(ds.n_samples), ds.labels][:, None]
@@ -225,12 +233,25 @@ def test_T_over_the_active_columns_matches_the_full_product(n_active):
         # no weight column enters: every score is its class's offset
         np.testing.assert_array_equal(linop._scores_aug(x, ds),
                                       np.broadcast_to(x[:, -1], (ds.n_samples, 3)))
+    if count > _AT_SHARE:
+        # above the share the scores are the full GEMM's, bit for bit
+        full = np.add((x[:, :-1] @ ds.features.T).T, x[:, -1], order="C")
+        np.testing.assert_array_equal(linop._scores_aug(x, ds), full)
 
 
-def test_T_below_the_share_never_reads_a_zero_weight_column():
+def test_a_dense_iterate_with_a_zero_first_class_takes_the_full_product():
+    ds, x = _restricted_case(_M, M=_M, first=True)
+    x[0, :-1] = 0.0
+    full = np.add((x[:, :-1] @ ds.features.T).T, x[:, -1], order="C")
+    np.testing.assert_array_equal(linop._scores_aug(x, ds), full)
+
+
+@pytest.mark.parametrize("count, first", [(5, False), (_AT_SHARE, True)],
+                         ids=["five", "first-at-share"])
+def test_T_below_the_share_never_reads_a_zero_weight_column(count, first):
     # a full GEMM would turn 0 * nan into nan; over the active columns the
     # nan column never enters
-    ds, x = _restricted_case(5)
+    ds, x = _restricted_case(count, M=_M, first=first)
     feats = ds.dense_features().copy()
     feats[:, np.flatnonzero(~x[:, :-1].any(axis=0))[::7]] = np.nan
     with_nan = Dataset(feats, ds.labels, ds.n_classes, ds.margins)
