@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import data as datamod
-from .data import DataFormatError, load_standardize_stats, save_standardize_stats
+from .data import DataFormatError, load_standardize_stats, open_text, save_standardize_stats
 from .evaluate import evaluate_model
 from .linop import operator_norm
 from .model import BlockStructure, RegularizerSpec
@@ -98,7 +98,7 @@ def _parse_blocks(arg, n_features, mode):
     size = _block_size(arg)
     if size is not None:
         return BlockStructure.contiguous(n_features, size, mode=mode)
-    with open(arg) as fh:
+    with open_text(arg) as fh:
         groups = [np.array([int(t) - 1 for t in line.split()])
                   for line in fh if line.strip()]
     blocks = BlockStructure(tuple(groups), mode=mode)

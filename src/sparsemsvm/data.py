@@ -3,6 +3,7 @@ standardization, stratified splitting, and synthetic cluster generation."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,32 @@ class DataFormatError(ValueError):
     """Malformed input file."""
 
 
+@contextmanager
+def open_text(path):
+    """`path` opened for reading as UTF-8 text. A byte that does not decode
+    raises DataFormatError naming the path and the line it sits on, as
+    every other defect of an input file does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+
+
+def _undecodable(path):
+    """The DataFormatError of the first byte of `path` that is not UTF-8;
+    lines end at \\n, \\r\\n or \\r, as text-mode reading splits them."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        return DataFormatError(f"{path}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 text")
+    return DataFormatError(f"{path}: not UTF-8 text")
+
+
 def load_dense_csv(path) -> Dataset:
     """Dense CSV: first column an integer 1-based label, the remaining M
     columns the feature values. Rejects ragged rows, non-numeric or
@@ -21,7 +48,7 @@ def load_dense_csv(path) -> Dataset:
     labels = []
     rows = []
     linenos = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -73,7 +100,7 @@ def load_sparse_svmlight(path, n_features=None) -> Dataset:
     linenos = []
     data, indices, indptr = [], [], [0]
     max_idx = 0
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -195,7 +222,7 @@ def save_standardize_stats(path, stats: StandardizeStats):
 
 
 def load_standardize_stats(path) -> StandardizeStats:
-    with open(path) as fh:
+    with open_text(path) as fh:
         mean = np.array([float(v) for v in fh.readline().split()])
         scale = np.array([float(v) for v in fh.readline().split()])
     if mean.shape != scale.shape or mean.size == 0:

@@ -83,13 +83,19 @@ def _apply_T_aug(x_aug, dataset):
     return scores - own[:, None]
 
 
+def _effective_dual(y, dataset):
+    """y_eff(l, k) = y(l, k) - delta_{k=z_l} sum_j y(l, j), the weights of the
+    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array."""
+    y_eff = y.copy()
+    y_eff[np.arange(dataset.n_samples), dataset.labels] -= y.sum(axis=1)
+    return y_eff
+
+
 def _apply_T_adjoint_aug(y, dataset):
     """Adjoint of `_apply_T_aug` at an (L, K) array y: row k of the (K, M+1)
-    result accumulates sum_l [y(l,k) - delta_{k=z_l} sum_j y(l,j)] * phi~(u_l),
+    result accumulates sum_l y_eff(l, k) * phi~(u_l) (`_effective_dual`),
     the appended constant of phi~ making the offsets accumulate too."""
-    row_sums = y.sum(axis=1)
-    y_eff = y.copy()
-    y_eff[np.arange(dataset.n_samples), dataset.labels] -= row_sums
+    y_eff = _effective_dual(y, dataset)
     b = y_eff.sum(axis=0)
     if issparse(dataset.features):
         # scipy's product is column-major, and so is this result

@@ -171,6 +171,13 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx], self.n_classes,
                        self.margins[idx])
 
+    def columns(self, cols):
+        """Dataset restricted to the feature columns `cols` (order preserved):
+        a row-major copy of them for dense features, CSR for CSR."""
+        feats = self.features
+        feats = feats[:, cols] if issparse(feats) else np.take(feats, cols, axis=1)
+        return Dataset(feats, self.labels, self.n_classes, self.margins)
+
 
 class GroupLayout(NamedTuple):
     """Where the groups of a BlockStructure sit in one feature permutation.
@@ -185,6 +192,10 @@ class GroupLayout(NamedTuple):
 
     perm: np.ndarray | None
     runs: tuple
+
+    def sizes(self):
+        """The size of every group, in the order of `perm`."""
+        return np.repeat([run[2] for run in self.runs], [run[3] for run in self.runs])
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,43 @@ class BlockStructure:
         else:
             perm.setflags(write=False)
         return GroupLayout(perm, tuple(runs))
+
+    def restrict(self, keep):
+        """The groups that `keep` selects, reindexed onto 0..n-1, with the n
+        features they cover in ascending order: position i of the result is
+        feature `features[i]` here. `keep` is a boolean mask over the
+        groups in layout order, the order in which `layout.perm` holds them.
+
+        The result lists its groups in that order, so its layout is this
+        one's runs less the groups left out; it is derived with array
+        operations, not rebuilt group by group. Returns (features,
+        BlockStructure)."""
+        perm, runs = self.layout
+        taken = np.flatnonzero(np.repeat(keep, self.layout.sizes()))
+        if perm is None:
+            features, new_perm = taken, np.arange(taken.size)
+        else:
+            kept = perm[taken]
+            features = np.sort(kept)
+            new_perm = np.searchsorted(features, kept)
+        new_perm.setflags(write=False)
+        groups, new_runs, lo, first = [], [], 0, 0
+        for _, _, size, count in runs:
+            n = int(np.count_nonzero(keep[first:first + count]))
+            first += count
+            if n:
+                groups.extend(new_perm[lo:lo + n * size].reshape(n, size))
+                new_runs.append((lo, lo + n * size, size, n))
+                lo += n * size
+        if np.array_equal(new_perm, np.arange(new_perm.size)):
+            new_perm = None
+        # the groups are read-only int64 views already, so the constructor's
+        # per-group pass is skipped: at 160 groups it took 90 us of 130
+        restricted = object.__new__(BlockStructure)
+        object.__setattr__(restricted, "groups", tuple(groups))
+        object.__setattr__(restricted, "mode", self.mode)
+        vars(restricted)["layout"] = GroupLayout(new_perm, tuple(new_runs))
+        return features, restricted
 
     def validate(self, n_features):
         """Check the groups are disjoint and cover exactly {0..M-1}."""

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import open_text
 from .model import BlockStructure, ModelVector, RegularizerSpec
 
 MAGIC = "sparsemsvm-model v1"
@@ -90,7 +91,7 @@ def save_model(path, pm: PersistedModel):
 
 def load_model(path) -> PersistedModel:
     """Read a model file; header keys it does not know are ignored."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"{path}: not a sparsemsvm model file")

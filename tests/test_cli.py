@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import RelChanges, windowed_residual_check
 from sparsemsvm import cli, linop, solvers
 from sparsemsvm.cli import main
-from sparsemsvm.data import load_dense_csv, make_synthetic, save_dense_csv, split
+from sparsemsvm.data import (load_dense_csv, make_synthetic, save_dense_csv,
+                             save_sparse_svmlight, split)
 from sparsemsvm.evaluate import evaluate_model
 from sparsemsvm.linop import NormEstimate
 from sparsemsvm.model import ModelVector, RegularizerSpec
@@ -659,3 +660,41 @@ def test_a_bad_row_is_one_error_line_naming_its_line(rows, blank, where, defect)
     code, err = _train_on(text.encode("ascii"))
     assert code == 1
     assert err.startswith(f"error: x.csv:{blank + r + 1}: ") and err.count("\n") == 1, err
+
+
+def _undecodable_at(path, line):
+    """Put a 0xff byte, never valid UTF-8, at the start of line `line`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("line", [1, 2])
+@pytest.mark.parametrize("reader", ["csv", "svmlight", "stats", "model", "blocks"])
+def test_an_undecodable_byte_is_one_error_line_naming_its_line(
+        synthetic_files, tmp_path, capsys, reader, line):
+    train_p, _ = synthetic_files
+    data, model = tmp_path / "train.csv", tmp_path / "m.model"
+    data.write_bytes(pathlib.Path(train_p).read_bytes())
+    train = ["train", "--data", str(data), "--solver", "fbpd-reg", "--alpha", "1",
+             "--max-iter", "2", "--out", str(model)]
+    evaluate = ["eval", "--model", str(model), "--data", str(data)]
+    if reader == "svmlight":
+        save_sparse_svmlight(tmp_path / "train.svm", load_dense_csv(data))
+        bad, command = tmp_path / "train.svm", train + ["--format", "svmlight"]
+        command[2] = str(bad)
+    elif reader == "blocks":
+        bad = tmp_path / "groups.txt"
+        bad.write_text("1 2 3\n4 5 6\n")
+        command = train + ["--reg", "l12", "--blocks", str(bad)]
+    elif reader in ("stats", "model"):
+        main(train + ["--standardize"])
+        bad = model if reader == "model" else pathlib.Path(str(model) + ".stats")
+        command = evaluate
+    else:
+        bad, command = data, train
+    _undecodable_at(bad, line)
+    capsys.readouterr()
+    assert main(command) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:{line}: byte 0xff is not UTF-8 text\n"

@@ -7,16 +7,18 @@ each step written as one numpy expression per line, `T` as
 every iteration and the guard's two entrywise passes on every iterate.
 The solvers compute the same operations in the same order, in place and
 with fewer passes, so their iterates must match it bit for bit, except
-where `T` skips the iterate's zero weight columns, which sums in another
-order.
+where `T` skips the iterate's zero weight columns or a step runs on the
+screen's columns alone, which sum in another order.
 """
+
+import functools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import RelChanges, tiny_dataset
-from sparsemsvm import linop
+from sparsemsvm import linop, solvers
 from sparsemsvm.data import make_synthetic, split
 from sparsemsvm.linop import _power_iteration
 from sparsemsvm.model import BlockStructure, Dataset, RegularizerSpec, make_margin_offsets
@@ -232,6 +234,46 @@ def test_sparse_iterates_take_T_over_their_active_columns():
     got = report.model.augmented()
     assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
     assert report.g_value == pytest.approx(regularizer_value(x, spec), rel=1e-9, abs=0.0)
+
+
+@functools.cache
+def _wide(csr):
+    """The M=2000 instance and its reference norm, shared by the cases."""
+    ds = _dataset(3, 2000, 30, 0, csr)
+    return ds, _ref_norm(ds)
+
+
+@pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("kind, mode", SPECS)
+@pytest.mark.parametrize("solver", ["fbpd-reg", "fbpd-con"])
+def test_screened_steps_match_the_reference_to_rounding(monkeypatch, solver, kind, mode, csr):
+    # at M=2000 the iterates keep 45-250 nonzero weight columns, and most
+    # steps run on the screen's columns alone; those sum over fewer columns
+    # than the reference's full products, so the runs agree to rounding
+    # (bitwise for CSR, whose products sum the stored entries alike)
+    ds, norm = _wide(csr)
+    blocks = None if mode is None else BlockStructure.contiguous(2000, 2, mode=mode)
+    spec = RegularizerSpec(kind, blocks)
+    cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=400, rel_tol=1e-12, norm_T=norm)
+    widths = []
+
+    def adjoint(y, dataset, inner=solvers._apply_T_adjoint_aug):
+        widths.append(dataset.n_features)
+        return inner(y, dataset)
+
+    monkeypatch.setattr(solvers, "_apply_T_adjoint_aug", adjoint)
+    if solver == "fbpd-reg":
+        report = solve_regularized_fbpd(ds, spec, cfg)
+        x, _, it, converged, _ = _ref_regularized(ds, spec, 1.0, cfg)
+    else:
+        report = solve_constrained_fbpd(ds, spec, cfg)
+        x, _, it, converged, _ = _ref_constrained(ds, spec, 3.0, cfg)
+    assert (report.iterations, report.converged) == (it, converged) == (400, False)
+    narrow = sum(w < ds.n_features for w in widths)
+    assert narrow == 0 if kind == "l2sq" else narrow >= 0.6 * it
+    got = report.model.augmented()
+    assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
+    np.testing.assert_array_equal(got != 0.0, x != 0.0)
 
 
 def test_frozen_primal_waits_for_the_dual_as_the_reference_does():
