@@ -4,7 +4,8 @@ and the operator norms used to set step sizes.
 T is always applied matrix-free: the L*K x (M+1)*K matrix is never
 materialized, and the implicit augmentation [features, 1] is applied on
 the fly. Its norm is exact, from the smaller of the Grams T T^T and
-T^T T, when that Gram is small, and a power-iteration estimate otherwise.
+T^T T, when that Gram is small, and otherwise a Lanczos estimate of the
+largest eigenvalue of T^T T, from products with T and T^T alone.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ class NormEstimate(NamedTuple):
     """A norm for step sizes; `value` already carries the safety factor.
 
     An exact value reports `converged=True` and `iterations=0`; a
-    power-iteration estimate reports whether it converged and its
-    iteration count.
+    Lanczos estimate reports whether it converged and, as `iterations`,
+    its number of products of A^T A.
     """
 
     value: float
@@ -30,10 +31,10 @@ class NormEstimate(NamedTuple):
 
     def checked(self) -> float:
         """`value`, or ValueError when it is an estimate that did not
-        converge: it may lie below the norm, and steps from it too long."""
+        converge: no step size can be set from it."""
         if not self.converged:
             raise ValueError("the operator-norm estimate did not converge in "
-                             f"{self.iterations} power iterations")
+                             f"{self.iterations} Lanczos products")
         return self.value
 
 
@@ -106,42 +107,21 @@ def _apply_T_adjoint_aug(y, dataset):
     return out
 
 
-def _power_iteration(matvec, rmatvec, v0, tol, max_iter):
-    """sqrt of the largest eigenvalue of A^T A via power iteration on A^T A.
-
-    Stops when successive Rayleigh-quotient square roots agree to a
-    relative `tol`.
-    """
-    v = v0 / max(np.linalg.norm(v0), 1e-300)
-    est = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        new_est = float(np.linalg.norm(w))
-        if new_est == 0.0:
-            return 0.0, True, it
-        v = rmatvec(w)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return new_est, True, it
-        v = v / nv
-        if abs(new_est - est) <= tol * max(new_est, 1e-300):
-            return new_est, True, it
-        est = new_est
-    return est, False, max_iter
-
-
 # A start vector must not have all class blocks equal: such vectors are
-# annihilated by T. A fixed seeded draw keeps step sizes reproducible.
+# annihilated by T. A fixed seeded draw, and the same seed for any vector
+# ARPACK draws on a restart, keep step sizes reproducible.
 _START_SEED = 0
-_NORM_TOL, _NORM_MAX_ITER = 1e-9, 1000  # stopping rule of the power iteration
+# ARPACK's restarts: 20 products of A^T A, then 10 per restart, so at most
+# about 1000 (its default, 10 per unknown, is a hang on large inputs)
+_LANCZOS_MAX_RESTARTS = 100
 _SAFETY = 1.01
 
 # Largest Gram side for which a norm is exact. Forming and factoring a
-# side-n Gram costs O(n^3), a power iteration O(L*M*K) per step for a
-# data-dependent number of steps. Measured with one BLAS thread: at side
-# 400 the exact norm took about 10 ms, the power iteration 5 ms to 160 ms,
-# so it loses a few ms at worst; at sides 800 to 930 it took 59-90 ms
-# against 15 ms to 306 ms.
+# side-n Gram costs O(n^3), a Lanczos product on T^T T O(L*M*K). Measured
+# with one BLAS thread: the exact norm took 1.5 ms at side 114 and 12 ms at
+# 390 (K=3, M=7129), where Lanczos took 59 and 152 ms; with both sides near
+# 400 it took 8 ms against 1.4 ms, and at sides 810 to 900 55-80 ms against
+# 2-38 ms.
 EXACT_GRAM_MAX_SIDE = 400
 
 
@@ -197,19 +177,38 @@ def _exact_norm(gram):
 def _norm(row_side, v_shape, row_gram, col_gram, matvec, rmatvec):
     """The norm of a map A on arrays of `v_shape`, with the safety factor:
     exact from the smaller of A A^T (side `row_side`, wins ties) and A^T A
-    when its side is at most EXACT_GRAM_MAX_SIDE, else power iteration on
-    A^T A from the seeded start, which reports whether it converged."""
+    when its side is at most EXACT_GRAM_MAX_SIDE, else by Lanczos (ARPACK's
+    `eigsh`) on A^T A from the seeded start, which counts its products and
+    reports a NaN unconverged value when its restarts run out."""
     col_side = int(np.prod(v_shape))
     if min(row_side, col_side) <= EXACT_GRAM_MAX_SIDE:
         return _exact_norm(row_gram() if row_side <= col_side else col_gram())
-    v0 = np.random.default_rng(_START_SEED).standard_normal(v_shape)
-    est, converged, its = _power_iteration(matvec, rmatvec, v0, _NORM_TOL, _NORM_MAX_ITER)
-    return NormEstimate(_SAFETY * est, converged, its)
+    # scipy is imported only here: a dense run below the limit never needs it
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    products = 0
+
+    def gram(v):
+        nonlocal products
+        products += 1
+        return rmatvec(matvec(v.reshape(v_shape))).ravel()
+
+    v0 = np.random.default_rng(_START_SEED).standard_normal(v_shape).ravel()
+    if not gram(v0).any():  # A is zero (v0 is random), a start ARPACK rejects
+        return NormEstimate(0.0, True, products)
+    try:
+        top = eigsh(LinearOperator((col_side, col_side), matvec=gram, dtype=np.float64),
+                    k=1, which="LA", v0=v0, tol=1e-9, maxiter=_LANCZOS_MAX_RESTARTS,
+                    return_eigenvectors=False, rng=_START_SEED)[0]
+    except ArpackNoConvergence:
+        return NormEstimate(float("nan"), False, products)
+    return NormEstimate(_SAFETY * float(np.sqrt(max(top, 0.0))), True, products)
 
 
 def operator_norm(dataset: Dataset) -> NormEstimate:
     """||T|| inflated by a 1.01 safety factor, by the rule of `_norm` on
-    T T^T (side L*K) and T^T T (side K*(M+1)); T itself is never formed."""
+    T T^T (side L*K) and T^T T (side K*(M+1)), exact or by Lanczos on
+    T^T T; T itself is never formed."""
     K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
     return _norm(L * K, (K, M + 1),
                  lambda: _gram_TTt(dataset), lambda: _gram_TtT(dataset),
@@ -220,7 +219,7 @@ def operator_norm(dataset: Dataset) -> NormEstimate:
 def features_aug_norm(dataset: Dataset) -> NormEstimate:
     """Norm of the augmented feature matrix [features, 1], inflated by a
     1.01 safety factor, by the rule of `_norm` on its Grams (sides L and
-    M+1). Used by the single-block binary solvers.
+    M+1), exact or by Lanczos. Used by the single-block binary solvers.
     """
     feats = dataset.features
     L, M = feats.shape

@@ -8,6 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from sparsemsvm.data import (load_dense_csv, make_synthetic, save_dense_csv,
                              save_sparse_svmlight, split)
 from sparsemsvm.evaluate import evaluate_model
 from sparsemsvm.linop import NormEstimate
-from sparsemsvm.model import ModelVector, RegularizerSpec
+from sparsemsvm.model import Dataset, ModelVector, RegularizerSpec
 from sparsemsvm.persist import PersistedModel, load_model, save_model
 from sparsemsvm.solvers import SOLVERS, DivergenceError, SolverConfig
 
@@ -441,9 +442,15 @@ def test_seed_is_a_sweep_option(synthetic_files, tmp_path, capsys, command):
 
 
 def test_unconverged_norm_is_error_line(synthetic_files, tmp_path, capsys, monkeypatch):
-    # a power iteration capped at 2 steps on Grams kept off the exact path
+    # Grams kept off the exact path, and a Lanczos run that gives up after
+    # five products in all
+    def eigsh(operator, v0, **_):
+        for _ in range(4):
+            operator.matvec(v0)
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), None)
+
     monkeypatch.setattr(linop, "EXACT_GRAM_MAX_SIDE", 0)
-    monkeypatch.setattr(linop, "_NORM_MAX_ITER", 2)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
     train_p, test_p = synthetic_files
     argvs = _commands(train_p, test_p, tmp_path)
     out = str(tmp_path / "o")
@@ -454,8 +461,35 @@ def test_unconverged_norm_is_error_line(synthetic_files, tmp_path, capsys, monke
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: the operator-norm estimate did not converge "
-                                "in 2 power iterations\n")
+                                "in 5 Lanczos products\n")
     assert not (tmp_path / "m.model").exists() and not (tmp_path / "o").exists()
+
+
+def test_a_zero_operator_above_the_exact_limit_trains(tmp_path, capsys):
+    # one class makes T zero; both of its Grams have side over 400
+    rng = np.random.default_rng(0)
+    data, model = tmp_path / "one.csv", tmp_path / "m.model"
+    save_dense_csv(data, Dataset.from_arrays(rng.standard_normal((401, 400)),
+                                             np.zeros(401, dtype=int), n_classes=1))
+    assert main(["train", "--data", str(data), "--solver", "fbpd-reg", "--alpha", "1",
+                 "--max-iter", "50", "--out", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "objective 0\n" in captured.out
+    assert not load_model(model).model.weights.any()
+
+
+def test_the_wide_shape_with_close_top_eigenvalues_trains(tmp_path, monkeypatch, capsys):
+    # the two largest eigenvalues of T^T T lie 0.26 % apart on this valid
+    # input (K=20, M=L=2000), too close for a 1000-step power iteration; the
+    # data are handed to `train` directly, as their CSV would be about 80 MB
+    wide = make_synthetic(20, 2000, 2000, seed=1)
+    monkeypatch.setattr(cli, "_load_dataset", lambda path, fmt: wide)
+    model = tmp_path / "m.model"
+    assert main(["train", "--data", "wide.csv", "--solver", "fbpd-reg", "--alpha", "1",
+                 "--max-iter", "3", "--out", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and "iterations 3\n" in captured.out
+    assert load_model(model).model.weights.shape == (20, 2000)
 
 
 def test_out_of_memory_is_error_line(tmp_path, capsys):
@@ -525,6 +559,23 @@ codes = [cli.main(["train", "--data", d + "/train.csv", "--solver", "fbpd-con",
 print(codes, "scipy.sparse" in sys.modules)
 """
     assert _fresh_python(code, tmp_path) == "[2, 0] False"
+
+
+def test_norms_at_the_exact_limit_never_import_scipy(tmp_path):
+    # both Grams of T have side 400 (L*K and K*(M+1)), the limit, and those
+    # of [F, 1] under one-vs-all side 40: exact norms, which need no scipy
+    code = """
+import sys
+from sparsemsvm import cli
+from sparsemsvm.data import make_synthetic, save_dense_csv
+d = sys.argv[1]
+save_dense_csv(d + "/train.csv", make_synthetic(10, 39, 40, seed=0))
+codes = [cli.main(["train", "--data", d + "/train.csv", "--solver", solver, "--alpha", "1",
+                   "--max-iter", "20", "--out", d + "/m.model"])
+         for solver in ("fbpd-reg", "one-vs-all")]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _fresh_python(code, tmp_path) == "[2, 2] []"
 
 
 SPARSE_IN_A_FRESH_PROCESS = {

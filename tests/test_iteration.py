@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from conftest import RelChanges, tiny_dataset
 from sparsemsvm import linop, solvers
 from sparsemsvm.data import make_synthetic, split
-from sparsemsvm.linop import _power_iteration
 from sparsemsvm.model import BlockStructure, Dataset, RegularizerSpec, make_margin_offsets
 from sparsemsvm.prox import (_block_soft_threshold_rows, _group_rows, _linf_prox_rows,
                              _ungroup_rows, project_halfspace_sum, project_simplex_rows,
@@ -113,10 +112,20 @@ def _ref_iterate(step, x0, cfg):
 
 
 def _ref_norm(ds):
-    v0 = np.random.default_rng(0).standard_normal((ds.n_classes, ds.n_features + 1))
-    est, _, _ = _power_iteration(lambda v: _ref_T(v, ds), lambda w: _ref_T_adjoint(w, ds),
-                                 v0, 1e-9, 1000)
-    return 1.01 * est
+    """1.01 times a power-iteration estimate of ||T||: a frozen step size,
+    so the references keep their bits whatever rule `operator_norm` takes."""
+    v = np.random.default_rng(0).standard_normal((ds.n_classes, ds.n_features + 1))
+    v = v / np.linalg.norm(v)
+    est = 0.0
+    for _ in range(1000):
+        w = _ref_T(v, ds)
+        new_est = float(np.linalg.norm(w))
+        v = _ref_T_adjoint(w, ds)
+        v = v / np.linalg.norm(v)
+        if abs(new_est - est) <= 1e-9 * new_est:
+            break
+        est = new_est
+    return 1.01 * new_est
 
 
 def _ref_regularized(ds, spec, lam, cfg):

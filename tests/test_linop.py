@@ -114,13 +114,17 @@ def test_operator_norm_matches_dense_svd(rng):
 
 
 def test_operator_norm_nonconvergence_flag(monkeypatch):
+    # one Lanczos restart is too few for this spectrum; both norms run out
     monkeypatch.setattr(linop, "EXACT_GRAM_MAX_SIDE", 0)
-    monkeypatch.setattr(linop, "_NORM_MAX_ITER", 2)
+    monkeypatch.setattr(linop, "_LANCZOS_MAX_RESTARTS", 1)
     rng = np.random.default_rng(0)
-    ds = random_dataset(rng, L=6, M=4, K=3)
-    est = operator_norm(ds)
-    assert not est.converged
-    assert est.value > 0
+    ds = Dataset.from_arrays(rng.standard_normal((200, 200)), np.arange(200) % 3, n_classes=3)
+    for est in (operator_norm(ds), features_aug_norm(ds)):
+        assert not est.converged and np.isnan(est.value)
+        assert est.iterations > 1
+        with pytest.raises(ValueError, match=f"did not converge in {est.iterations} "
+                                             "Lanczos products$"):
+            est.checked()
 
 
 def test_features_aug_norm(rng):
@@ -194,6 +198,55 @@ def test_exact_operator_norm_memory_stays_small():
         tracemalloc.stop()
     assert est.iterations == 0
     assert peak < 0.25 * ds.features.nbytes, peak
+
+
+def _large_case(L, M, K, sparse):
+    """A dataset whose two Grams of T, or of [F, 1] for K=1, both have side
+    over EXACT_GRAM_MAX_SIDE."""
+    rng = np.random.default_rng(L + M + K)
+    X = rng.standard_normal((L, M))
+    if sparse:
+        X[rng.random((L, M)) < 0.6] = 0.0
+        X = sp.csr_matrix(X)
+    ds = Dataset.from_arrays(X, np.arange(L) % K, n_classes=K)
+    assert min(L * K, K * (M + 1)) > linop.EXACT_GRAM_MAX_SIDE
+    return ds
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_lanczos_operator_norm_matches_dense_svd(sparse):
+    ds = _large_case(140, 150, 3, sparse)  # Gram sides 420 and 453
+    truth = np.linalg.svd(oracles.dense_T_matrix(ds), compute_uv=False)[0]
+    est = operator_norm(ds)
+    assert est.converged and est.iterations > 0
+    assert est.value == pytest.approx(1.01 * truth, rel=1e-8, abs=0.0)
+    assert est.value >= truth
+    assert operator_norm(ds) == est  # the same bits on every call
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_lanczos_features_aug_norm_matches_dense_svd(sparse):
+    ds = _large_case(410, 401, 1, sparse)  # Gram sides 410 and 402
+    aug = np.hstack([ds.dense_features(), np.ones((ds.n_samples, 1))])
+    truth = np.linalg.svd(aug, compute_uv=False)[0]
+    est = features_aug_norm(ds)
+    assert est.converged and est.iterations > 0
+    assert est.value == pytest.approx(1.01 * truth, rel=1e-8, abs=0.0)
+    assert est.value >= truth
+    assert features_aug_norm(ds) == est
+
+
+def test_lanczos_restarts_are_seeded():
+    # T of rank one: ARPACK draws fresh vectors for its restarts, and from a
+    # fixed seed, so every call counts the same products
+    ds = Dataset.from_arrays(np.ones((450, 250)), np.arange(450) % 2, n_classes=2)
+    assert len({operator_norm(ds) for _ in range(4)}) == 1
+
+
+def test_zero_operator_above_the_exact_limit():
+    # one class makes T zero, which ARPACK cannot start from
+    ds = _large_case(401, 400, 1, False)
+    assert operator_norm(ds) == (0.0, True, 1)
 
 
 def _restricted_case(n_active, K=3, M=2000, L=30, first=False):
