@@ -20,10 +20,10 @@ import numpy as np
 
 from . import data as datamod
 from .data import DataFormatError, load_standardize_stats, open_text, save_standardize_stats
-from .evaluate import evaluate_model
+from .evaluate import NONZERO_THRESHOLD, evaluate_model
 from .linop import operator_norm
-from .model import BlockStructure, RegularizerSpec
-from .persist import PersistedModel, _fmt, encode_groups, load_model, save_model
+from .model import GROUP_MODES, REGULARIZER_KINDS, BlockStructure, RegularizerSpec
+from .persist import PersistedModel, _fmt, decode_groups, encode_groups, load_model, save_model
 from .solvers import SOLVERS, DivergenceError, SolverConfig
 
 DEFAULT_ALPHAS = "0.001,0.01,0.1,1,10,100,1000"
@@ -80,6 +80,7 @@ def _list(name, item=str, choices=None):
 
 
 _alpha = _finite("alpha")
+_threshold = _finite("threshold", zero_ok=True)
 _alphas = _list("alphas", _alpha)
 _solvers = _list("solvers", choices=sorted(SOLVERS))
 
@@ -99,16 +100,16 @@ def _parse_blocks(arg, n_features, mode):
     if size is not None:
         return BlockStructure.contiguous(n_features, size, mode=mode)
     with open_text(arg) as fh:
-        groups = [np.array([int(t) - 1 for t in line.split()])
-                  for line in fh if line.strip()]
-    blocks = BlockStructure(tuple(groups), mode=mode)
-    blocks.validate(n_features)
-    return blocks
+        lines = [line for line in fh if line.strip()]
+    try:
+        return decode_groups(lines, n_features, mode)
+    except ValueError as exc:
+        raise ValueError(f"{arg}: {exc}") from None
 
 
 def _build_spec(args, n_features):
     blocks = None
-    if args.reg in ("l12", "l1inf"):
+    if RegularizerSpec(args.reg).needs_blocks:
         blocks = _parse_blocks(args.blocks, n_features, args.group)
     return RegularizerSpec(args.reg, blocks)
 
@@ -116,10 +117,10 @@ def _build_spec(args, n_features):
 def _solver_args(p):
     """The problem and stopping options that train, sweep and bench share;
     train and sweep add `--solver`, bench `--solvers`."""
-    p.add_argument("--reg", default="l1", choices=["l1", "l12", "l1inf", "l2sq"])
+    p.add_argument("--reg", default="l1", choices=REGULARIZER_KINDS)
     p.add_argument("--blocks", default="1",
                    help="group size for mixed norms, or a file of 1-based index groups")
-    p.add_argument("--group", default="per-class", choices=["per-class", "cross-class"])
+    p.add_argument("--group", default="per-class", choices=GROUP_MODES)
     p.add_argument("--tol", type=_finite("tol"), default=1e-5)
     p.add_argument("--max-iter", type=_count("max-iter"), default=10000)
 
@@ -333,13 +334,13 @@ def build_parser():
                    help="sweep parameter: lam = 1/alpha, or eta = alpha*L for fbpd-con")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
+    p.add_argument("--threshold", type=_threshold, default=NONZERO_THRESHOLD)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a persisted model on a dataset")
     p.add_argument("--model", required=True)
     _data_args(p)
-    p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
+    p.add_argument("--threshold", type=_threshold, default=NONZERO_THRESHOLD)
     p.add_argument("--emit", default="text", choices=["text", "csv"])
     p.set_defaults(func=cmd_eval)
 
@@ -353,7 +354,7 @@ def build_parser():
     p.add_argument("--train-per-class", type=_count("train-per-class"), default=None)
     p.add_argument("--seed", type=_count("seed", minimum=0), default=0,
                    help="seed of the first repetition's split; repetition r uses seed + r")
-    p.add_argument("--threshold", type=_finite("threshold", zero_ok=True), default=1e-5)
+    p.add_argument("--threshold", type=_threshold, default=NONZERO_THRESHOLD)
     p.add_argument("--timing", action="store_true",
                    help="append a wall-time column (breaks byte-for-byte reproducibility)")
     p.add_argument("--out", default=None, help="CSV output path")

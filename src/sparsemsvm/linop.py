@@ -97,13 +97,13 @@ def _apply_T_adjoint_aug(y, dataset):
     result accumulates sum_l y_eff(l, k) * phi~(u_l) (`_effective_dual`),
     the appended constant of phi~ making the offsets accumulate too."""
     y_eff = _effective_dual(y, dataset)
-    b = y_eff.sum(axis=0)
-    if issparse(dataset.features):
-        # scipy's product is column-major, and so is this result
-        return np.hstack([np.asarray(y_eff.T @ dataset.features), b[:, None]])
     out = np.empty((y.shape[1], dataset.n_features + 1))
-    np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
-    out[:, -1] = b
+    if issparse(dataset.features):
+        # scipy's product is column-major; the copy makes it row-major
+        out[:, :-1] = y_eff.T @ dataset.features
+    else:
+        np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
+    out[:, -1] = y_eff.sum(axis=0)
     return out
 
 

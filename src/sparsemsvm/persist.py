@@ -42,20 +42,36 @@ class PersistedModel:
 
     def regularizer_spec(self) -> RegularizerSpec:
         blocks = None
-        if self.reg_kind in ("l12", "l1inf"):
+        if RegularizerSpec(self.reg_kind).needs_blocks:
+            M = self.model.n_features
             if self.groups_text:
-                groups = tuple(np.array([int(t) - 1 for t in part.split()])
-                               for part in self.groups_text.split(";"))
-                blocks = BlockStructure(groups, mode=self.group_mode)
+                blocks = decode_groups(self.groups_text.split(";"), M, self.group_mode)
             else:
-                size = self.block_size if self.block_size else 1
-                blocks = BlockStructure.contiguous(self.model.n_features, size,
-                                                   mode=self.group_mode)
+                size = 1 if self.block_size is None else self.block_size
+                blocks = BlockStructure.contiguous(M, size, mode=self.group_mode)
         return RegularizerSpec(self.reg_kind, blocks)
 
 
 def encode_groups(blocks: BlockStructure) -> str:
     return ";".join(" ".join(str(i + 1) for i in g) for g in blocks.groups)
+
+
+def decode_groups(parts, n_features, mode) -> BlockStructure:
+    """The groups of `parts`, one string of whitespace-separated 1-based
+    feature indices each (the form `encode_groups` writes and `--blocks`
+    files hold), checked to partition 1..n_features."""
+    groups = []
+    for b, part in enumerate(parts, start=1):
+        indices = [int(t) for t in part.split()]
+        if not indices:
+            raise ValueError(f"group {b} is empty")
+        for i in indices:
+            if not 1 <= i <= n_features:
+                raise ValueError(f"group {b} holds feature index {i}, outside 1..{n_features}")
+        groups.append(np.array(indices) - 1)
+    blocks = BlockStructure(tuple(groups), mode=mode)
+    blocks.validate(n_features)
+    return blocks
 
 
 def _fmt(v):
@@ -90,7 +106,8 @@ def save_model(path, pm: PersistedModel):
 
 
 def load_model(path) -> PersistedModel:
-    """Read a model file; header keys it does not know are ignored."""
+    """Read a model file; header keys it does not know are ignored. A bad
+    value, group list or block size is a ValueError naming the file."""
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
@@ -108,25 +125,30 @@ def load_model(path) -> PersistedModel:
     for key in ("classes", "features"):
         if key not in header:
             raise ValueError(f"{path}: header has no {key!r} line")
-    K = int(header["classes"])
-    M = int(header["features"])
-    rows = [np.array([float(v) for v in line.split()]) for line in lines[body_start:body_start + K]]
-    if len(rows) != K or any(r.size != M + 1 for r in rows):
-        raise ValueError(f"{path}: malformed parameter block")
-    model = ModelVector.from_augmented(np.vstack(rows))
+    try:
+        K = int(header["classes"])
+        M = int(header["features"])
+        rows = [np.array([float(v) for v in line.split()]) for line in lines[body_start:body_start + K]]
+        if len(rows) != K or any(r.size != M + 1 for r in rows):
+            raise ValueError("malformed parameter block")
+        model = ModelVector.from_augmented(np.vstack(rows))
 
-    get = header.get
-    return PersistedModel(
-        model=model,
-        reg_kind=get("regularizer", "l1"),
-        block_size=int(header["block_size"]) if "block_size" in header else None,
-        groups_text=get("groups") or None,
-        group_mode=get("group_mode", "per-class"),
-        solver=get("solver", ""),
-        alpha=float(header["alpha"]) if "alpha" in header else None,
-        lam=float(header["lam"]) if "lam" in header else None,
-        eta=float(header["eta"]) if "eta" in header else None,
-        iterations=int(get("iterations", "0")),
-        converged=bool(int(get("converged", "0"))),
-        rel_change=float(get("rel_change", "0")),
-    )
+        get = header.get
+        pm = PersistedModel(
+            model=model,
+            reg_kind=get("regularizer", "l1"),
+            block_size=int(header["block_size"]) if "block_size" in header else None,
+            groups_text=get("groups") or None,
+            group_mode=get("group_mode", "per-class"),
+            solver=get("solver", ""),
+            alpha=float(header["alpha"]) if "alpha" in header else None,
+            lam=float(header["lam"]) if "lam" in header else None,
+            eta=float(header["eta"]) if "eta" in header else None,
+            iterations=int(get("iterations", "0")),
+            converged=bool(int(get("converged", "0"))),
+            rel_change=float(get("rel_change", "0")),
+        )
+        pm.regularizer_spec()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return pm

@@ -12,6 +12,26 @@ from .model import ModelVector, RegularizerSpec
 # ---------------------------------------------------------------------------
 # simplex and l1-ball projections
 
+def _threshold(s, c, d):
+    """theta = (c + s_1 + ... + s_rho) / (rho + d) per row of `s` (sorted in
+    descending order), rho the last j with s_j > (c + s_1 + ... + s_j) /
+    (j + d), and c / d where there is none. `c` is a number or an (L, 1)
+    column: c = -radius, d = 0 for the simplex (Duchi et al., ICML 2008),
+    c = height, d = 1 for the epigraph of the max."""
+    n = s.shape[1]
+    thetas = np.cumsum(s, axis=1)
+    thetas += c
+    thetas /= np.arange(1 + d, n + 1 + d)
+    cross = s > thetas
+    # the last crossing; a row without one reads index n - 1 here
+    last = (n - 1) - np.argmax(cross[:, ::-1], axis=1)
+    rows = np.arange(s.shape[0])
+    theta = thetas[rows, last]
+    if d:
+        theta = np.where(cross[rows, last], theta, np.ravel(c) / d)
+    return theta
+
+
 def project_simplex_rows(U, radius):
     """Row-wise Euclidean projection onto the scaled simplex
     {v >= 0 : sum(v) = radius}.
@@ -23,14 +43,7 @@ def project_simplex_rows(U, radius):
     if not radius > 0:
         raise ValueError("simplex radius must be positive")
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-    n = U.shape[1]
-    s = -np.sort(-U, axis=1)  # descending
-    cumsum = np.cumsum(s, axis=1)
-    j = np.arange(1, n + 1)
-    # largest j with s_j > (cumsum_j - radius) / j
-    cond = s > (cumsum - radius) / j
-    rho = n - np.argmax(cond[:, ::-1], axis=1)  # cond[:, 0] always holds
-    theta = (cumsum[np.arange(U.shape[0]), rho - 1] - radius) / rho
+    theta = _threshold(np.sort(U, axis=1)[:, ::-1], -radius, 0)
     return np.maximum(U - theta[:, None], 0.0)
 
 
@@ -55,53 +68,19 @@ def project_l1_ball_rows(V, radius):
 def project_epigraph_max_rows(Y, R, heights):
     """Row-wise projection onto the epigraphs of y -> max_k(y^(k) + r^(k)).
 
-    For each row: sort nu = ascending(y + r) with sentinels nu^0 = -inf and
-    nu^(K+1) = +inf, locate the unique index kbar in {1..K+1} with
-    nu^(kbar-1) < theta <= nu^(kbar) where
-
-        theta = (height + sum_{k >= kbar} nu^(k)) / (K - kbar + 2),
-
-    then return p = min(y, theta - r) at height theta. Rows already in the
-    epigraph pass through unchanged.
+    For each row the new height theta solves theta = height +
+    sum_k (y^(k) + r^(k) - theta)_+ (`_threshold`), and the point is
+    p = min(y, theta - r). Rows already in the epigraph pass through
+    unchanged.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
     if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(heights))):
         raise ValueError("epigraphical projection needs finite inputs")
-    L, K = Y.shape
-
-    shifted = Y + R
-    nu = np.sort(shifted, axis=1)  # ascending
-    # thetas[:, j] starts as sum of nu[:, j:]; candidates kbar = 1..K+1
-    # map to j = kbar-1, the last one to the empty sum
-    thetas = np.empty((L, K + 1))
-    thetas[:, K] = 0.0
-    np.cumsum(nu[:, ::-1], axis=1, out=thetas[:, K - 1::-1])
-    np.add(heights[:, None], thetas, out=thetas)
-    np.divide(thetas, np.arange(K + 1.0, 0.0, -1.0), out=thetas)  # K - kbar + 2
-    # the sandwich nu^(kbar-1) < theta <= nu^(kbar) without the sentinel
-    # columns: the upper bound of kbar = K+1 is +inf, which the finite
-    # height always meets, and the lower bound of kbar = 1 is -inf
-    ok = np.empty((L, K + 1), dtype=bool)
-    np.less_equal(thetas[:, :K], nu, out=ok[:, :K])
-    ok[:, K] = True
-    ok[:, 1:] &= nu < thetas[:, 1:]
-    ok[:, 0] &= thetas[:, 0] > -np.inf
-    # uniqueness is guaranteed in exact arithmetic; under floating-point
-    # ties fall back to the candidate violating the sandwich the least
-    kbar_idx = np.argmax(ok, axis=1)
-    hit = ok.any(axis=1)
-    if not hit.all():
-        no_hit = ~hit
-        lower = np.concatenate([np.full((L, 1), -np.inf), nu], axis=1)
-        upper = np.concatenate([nu, np.full((L, 1), np.inf)], axis=1)
-        viol = np.maximum(lower - thetas, 0.0) + np.maximum(thetas - upper, 0.0)
-        kbar_idx[no_hit] = np.argmin(viol[no_hit], axis=1)
-
-    theta = thetas[np.arange(L), kbar_idx]
-    inside = nu[:, -1] <= heights  # the row maximum of y + r
-    theta = np.where(inside, heights, theta)
+    s = np.sort(Y + R, axis=1)[:, ::-1]
+    inside = s[:, 0] <= heights  # the row maximum of y + r
+    theta = np.where(inside, heights, _threshold(s, heights[:, None], 1))
     P = np.where(inside[:, None], Y, np.minimum(Y, theta[:, None] - R))
     return P, theta
 

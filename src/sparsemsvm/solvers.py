@@ -189,12 +189,9 @@ def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
 # are bitwise those of that expression.
 
 def _forward(x, v, tau):
-    """x - tau * v for the adjoint's fresh output v = T^T y, computed in v
-    when that is row-major like x. CSR features give a column-major one,
-    and the group proxes reduce their rows in memory order, so that case
-    gets a fresh row-major result."""
+    """x - tau * v for the adjoint's fresh output v = T^T y, computed in v."""
     np.multiply(tau, v, out=v)
-    return np.subtract(x, v, out=v if v.flags.c_contiguous else None)
+    return np.subtract(x, v, out=v)
 
 
 def _extrapolate(x_new, x, out):

@@ -749,3 +749,134 @@ def test_an_undecodable_byte_is_one_error_line_naming_its_line(
     assert main(command) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}:{line}: byte 0xff is not UTF-8 text\n"
+
+
+# ---------------------------------------------------------------------------
+# the model reader's header, and fuzzing it through `eval`
+
+@pytest.fixture(scope="module")
+def grouped_model(synthetic_files, tmp_path_factory):
+    """The lines of an l1inf model over the groups 1 2 3;4 5 6 of the six
+    features, and the data to evaluate it on."""
+    train_p, _ = synthetic_files
+    base = tmp_path_factory.mktemp("grouped")
+    groups, model = base / "groups.txt", base / "m.model"
+    groups.write_text("1 2 3\n4 5 6\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["train", "--data", train_p, "--solver", "fbpd-reg", "--reg", "l1inf",
+              "--blocks", str(groups), "--alpha", "1", "--max-iter", "200",
+              "--out", str(model)])
+    lines = model.read_text().splitlines()
+    assert "groups 1 2 3;4 5 6" in lines
+    return lines, train_p
+
+
+def _with_header(lines, key, value):
+    """`lines` with the groups line dropped and `key value` put in its
+    place (or in that of the line with `key`, if there is one)."""
+    out = [l for l in lines if not l.startswith("groups ")]
+    at = next((i for i, l in enumerate(out) if l.startswith(key + " ")), None)
+    if at is None:
+        out.insert(out.index("end-header"), f"{key} {value}")
+    else:
+        out[at] = f"{key} {value}"
+    return out
+
+
+def _eval_on(lines, data):
+    """(exit code, stderr) of `eval` on a model file holding `lines`, the
+    model's path in stderr read as m.model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "m.model")
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--model", model, "--data", data])
+        return code, err.getvalue().replace(model, "m.model")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("groups", "1 2 3;4 5 99", "group 2 holds feature index 99, outside 1..6"),
+    ("groups", "1 2 3;4 5 6 0", "group 2 holds feature index 0, outside 1..6"),
+    ("groups", "0 1 2 3;4 5 6", "group 1 holds feature index 0, outside 1..6"),
+    ("groups", "1 1 2;3 4 5 6", "groups must partition the feature indices exactly"),
+    ("groups", "1 2 3;4 5", "groups must partition the feature indices exactly"),
+    ("groups", "1 2 3;;4 5 6", "group 2 is empty"),
+    ("groups", "1 2 3;4 5 6;", "group 3 is empty"),
+    ("groups", "1 2 3;4 5 six", "invalid literal for int() with base 10: 'six'"),
+    ("groups", "1 2 3;4 5 " + "9" * 30, "group 2 holds feature index 9"),
+    ("block_size", "0", "block size must be at least 1"),
+    ("block_size", "-2", "block size must be at least 1"),
+    ("block_size", "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("group_mode", "diagonal", "unknown group mode 'diagonal'"),
+    ("regularizer", "l0", "unknown regularizer 'l0'"),
+    ("lam", "half", "could not convert string to float: 'half'"),
+])
+def test_a_bad_model_header_is_one_error_line_naming_the_file(grouped_model, key, value,
+                                                                 message):
+    lines, data = grouped_model
+    code, err = _eval_on(_with_header(lines, key, value), data)
+    assert code == 1
+    assert err.startswith(f"error: m.model: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("groups", "4 5 6;1 2 3"), ("groups", "1 3 5;2;4 6"), ("block_size", "4"),
+])
+def test_a_good_group_header_evaluates(grouped_model, key, value):
+    lines, data = grouped_model
+    code, err = _eval_on(_with_header(lines, key, value), data)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2 3\n4 5 99\n", "group 2 holds feature index 99, outside 1..6"),
+    ("1 1 2\n3 4 5 6\n", "groups must partition the feature indices exactly"),
+    ("1 2 3\n4 5 x\n", "invalid literal for int() with base 10: 'x'"),
+])
+def test_a_bad_blocks_file_is_one_error_line_naming_it(synthetic_files, tmp_path, capsys,
+                                                       text, message):
+    train_p, _ = synthetic_files
+    groups = tmp_path / "groups.txt"
+    groups.write_text(text)
+    code = main(["train", "--data", train_p, "--solver", "fbpd-reg", "--reg", "l12",
+                 "--blocks", str(groups), "--alpha", "1", "--out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {groups}: {message}\n"
+
+
+HEADER_KEYS = ["classes", "features", "regularizer", "block_size", "groups", "group_mode",
+               "solver", "alpha", "lam", "eta", "iterations", "converged", "rel_change"]
+GROUP_TEXT = st.lists(st.lists(st.integers(-2, 9), max_size=4), max_size=4).map(
+    lambda groups: ";".join(" ".join(map(str, g)) for g in groups))
+HEADER_VALUE = st.one_of(
+    GROUP_TEXT,
+    st.sampled_from(["0", "1", "2", "3", "4", "6", "7", "-1", "1.5", "nan", "inf", "",
+                     "l1", "l12", "l1inf", "l2sq", "per-class", "cross-class",
+                     "9" * 30, "1e999"]),
+    st.text(st.sampled_from(list("0123456789 ;-+.exn_")), max_size=8))
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert"]),
+                                st.sampled_from(HEADER_KEYS), HEADER_VALUE,
+                                st.integers(0, 20)),
+                      min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_model_header_ends_in_a_result_or_one_error_line(grouped_model, edits):
+    lines, data = grouped_model
+    lines = list(lines)
+    for op, key, value, where in edits:
+        header = lines[1:lines.index("end-header")]
+        at = [i for i, l in enumerate(lines) if l.startswith(key + " ")]
+        if op == "insert" or not at:
+            lines.insert(1 + where % (len(header) + 1), f"{key} {value}")
+        elif op == "replace":
+            lines[at[0]] = f"{key} {value}"
+        else:
+            del lines[at[0]]
+    code, err = _eval_on(lines, data)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0 and err == "", err

@@ -78,7 +78,10 @@ def test_adjoint_identity_random(rng, sparse):
         x = _random_model(rng, ds)
         y = rng.standard_normal((ds.n_samples, ds.n_classes))
         lhs = np.vdot(_apply_T_aug(x.augmented(), ds), y)
-        rhs = np.vdot(x.augmented(), _apply_T_adjoint_aug(y, ds))
+        adj = _apply_T_adjoint_aug(y, ds)
+        # row-major for CSR features too, so the primal step runs in place
+        assert adj.flags.c_contiguous
+        rhs = np.vdot(x.augmented(), adj)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 

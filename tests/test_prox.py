@@ -219,6 +219,16 @@ class TestEpigraph:
         np.testing.assert_allclose(p, want_p, atol=1e-8)
         assert theta == pytest.approx(want_t, abs=1e-8)
 
+    def test_a_row_one_ulp_above_its_height(self):
+        # (height + max) / 2 rounds to the max, so no index crosses: the
+        # threshold is the height, not the mean of the whole row; the exact
+        # one lies between the two floats
+        zeta = np.nextafter(1.0, 0.0)
+        y = np.array([1.0, -100.0, -100.0])
+        (p,), (theta,) = project_epigraph_max_rows(y, np.zeros(3), zeta)
+        assert zeta <= theta <= 1.0
+        np.testing.assert_allclose(p, y, rtol=0, atol=np.spacing(1.0))
+
     def test_rowwise_matches_single(self, rng):
         # each row of a batch equals the one-row call
         Y = rng.standard_normal((30, 4))
