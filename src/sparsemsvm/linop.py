@@ -3,9 +3,9 @@ and the operator norms used to set step sizes.
 
 T is always applied matrix-free: the L*K x (M+1)*K matrix is never
 materialized, and the implicit augmentation [features, 1] is applied on
-the fly. Its norm is exact, from the smaller of the Grams T T^T and
-T^T T, when that Gram is small, and otherwise a Lanczos estimate of the
-largest eigenvalue of T^T T, from products with T and T^T alone.
+the fly. Its norm comes from the smaller of the Grams T T^T and T^T T:
+exact when that Gram is small, and otherwise a Lanczos estimate of its
+largest eigenvalue, from products with T and T^T alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class NormEstimate(NamedTuple):
 
     An exact value reports `converged=True` and `iterations=0`; a
     Lanczos estimate reports whether it converged and, as `iterations`,
-    its number of products of A^T A.
+    its number of products with the Gram it ran on.
     """
 
     value: float
@@ -79,7 +79,7 @@ def _apply_T_aug(x_aug, dataset):
     augmented array x_aug, as an (L, K) array whose column z_l of row l is
     exactly zero."""
     scores = _scores_aug(x_aug, dataset)
-    own = scores[np.arange(dataset.n_samples), dataset.labels]
+    own = scores.take(dataset.own_index)
     # own-class column is an exact 0: identical floats subtracted
     return scores - own[:, None]
 
@@ -88,15 +88,17 @@ def _effective_dual(y, dataset):
     """y_eff(l, k) = y(l, k) - delta_{k=z_l} sum_j y(l, j), the weights of the
     samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array."""
     y_eff = y.copy()
-    y_eff[np.arange(dataset.n_samples), dataset.labels] -= y.sum(axis=1)
+    y_eff.reshape(-1)[dataset.own_index] -= y.sum(axis=1)
     return y_eff
 
 
-def _apply_T_adjoint_aug(y, dataset):
+def _apply_T_adjoint_aug(y, dataset, y_eff=None):
     """Adjoint of `_apply_T_aug` at an (L, K) array y: row k of the (K, M+1)
-    result accumulates sum_l y_eff(l, k) * phi~(u_l) (`_effective_dual`),
-    the appended constant of phi~ making the offsets accumulate too."""
-    y_eff = _effective_dual(y, dataset)
+    result accumulates sum_l y_eff(l, k) * phi~(u_l) (`_effective_dual`,
+    which a caller that has it already hands as `y_eff`), the appended
+    constant of phi~ making the offsets accumulate too."""
+    if y_eff is None:
+        y_eff = _effective_dual(y, dataset)
     out = np.empty((y.shape[1], dataset.n_features + 1))
     if issparse(dataset.features):
         # scipy's product is column-major; the copy makes it row-major
@@ -107,17 +109,18 @@ def _apply_T_adjoint_aug(y, dataset):
     return out
 
 
-# A start vector must not have all class blocks equal: such vectors are
-# annihilated by T. A fixed seeded draw, and the same seed for any vector
-# ARPACK draws on a restart, keep step sizes reproducible.
+# A start vector must not lie in the Gram's null space (for T^T T, the
+# vectors with all class blocks equal). A fixed seeded draw, and the same
+# seed for any vector ARPACK draws on a restart, keep step sizes
+# reproducible.
 _START_SEED = 0
-# ARPACK's restarts: 20 products of A^T A, then 10 per restart, so at most
+# ARPACK's restarts: 20 products with the Gram, then 10 per restart, so at most
 # about 1000 (its default, 10 per unknown, is a hang on large inputs)
 _LANCZOS_MAX_RESTARTS = 100
 _SAFETY = 1.01
 
 # Largest Gram side for which a norm is exact. Forming and factoring a
-# side-n Gram costs O(n^3), a Lanczos product on T^T T O(L*M*K). Measured
+# side-n Gram costs O(n^3), a Lanczos product with either Gram O(L*M*K). Measured
 # with one BLAS thread: the exact norm took 1.5 ms at side 114 and 12 ms at
 # 390 (K=3, M=7129), where Lanczos took 59 and 152 ms; with both sides near
 # 400 it took 8 ms against 1.4 ms, and at sides 810 to 900 55-80 ms against
@@ -174,30 +177,35 @@ def _exact_norm(gram):
                         True, 0)
 
 
-def _norm(row_side, v_shape, row_gram, col_gram, matvec, rmatvec):
-    """The norm of a map A on arrays of `v_shape`, with the safety factor:
-    exact from the smaller of A A^T (side `row_side`, wins ties) and A^T A
-    when its side is at most EXACT_GRAM_MAX_SIDE, else by Lanczos (ARPACK's
-    `eigsh`) on A^T A from the seeded start, which counts its products and
-    reports a NaN unconverged value when its restarts run out."""
-    col_side = int(np.prod(v_shape))
-    if min(row_side, col_side) <= EXACT_GRAM_MAX_SIDE:
-        return _exact_norm(row_gram() if row_side <= col_side else col_gram())
+def _norm(u_shape, v_shape, row_gram, col_gram, matvec, rmatvec):
+    """The norm of a map A from arrays of `v_shape` to arrays of `u_shape`,
+    with the safety factor, from the smaller of A A^T (side the size of
+    u_shape, which wins ties) and A^T A: exact when that side is at most
+    EXACT_GRAM_MAX_SIDE, else by Lanczos (ARPACK's `eigsh`) on that Gram
+    from the seeded start, which counts its products and reports a NaN
+    unconverged value when its restarts run out."""
+    row_side, col_side = int(np.prod(u_shape)), int(np.prod(v_shape))
+    on_rows = row_side <= col_side
+    side = min(row_side, col_side)
+    if side <= EXACT_GRAM_MAX_SIDE:
+        return _exact_norm(row_gram() if on_rows else col_gram())
     # scipy is imported only here: a dense run below the limit never needs it
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+    # A A^T is the product with A^T, then A; A^T A the reverse
+    shape, first, second = (u_shape, rmatvec, matvec) if on_rows else (v_shape, matvec, rmatvec)
     products = 0
 
     def gram(v):
         nonlocal products
         products += 1
-        return rmatvec(matvec(v.reshape(v_shape))).ravel()
+        return second(first(v.reshape(shape))).ravel()
 
-    v0 = np.random.default_rng(_START_SEED).standard_normal(v_shape).ravel()
+    v0 = np.random.default_rng(_START_SEED).standard_normal(shape).ravel()
     if not gram(v0).any():  # A is zero (v0 is random), a start ARPACK rejects
         return NormEstimate(0.0, True, products)
     try:
-        top = eigsh(LinearOperator((col_side, col_side), matvec=gram, dtype=np.float64),
+        top = eigsh(LinearOperator((side, side), matvec=gram, dtype=np.float64),
                     k=1, which="LA", v0=v0, tol=1e-9, maxiter=_LANCZOS_MAX_RESTARTS,
                     return_eigenvectors=False, rng=_START_SEED)[0]
     except ArpackNoConvergence:
@@ -207,10 +215,10 @@ def _norm(row_side, v_shape, row_gram, col_gram, matvec, rmatvec):
 
 def operator_norm(dataset: Dataset) -> NormEstimate:
     """||T|| inflated by a 1.01 safety factor, by the rule of `_norm` on
-    T T^T (side L*K) and T^T T (side K*(M+1)), exact or by Lanczos on
-    T^T T; T itself is never formed."""
+    T T^T (side L*K) and T^T T (side K*(M+1)), exact or by Lanczos on the
+    smaller; T itself is never formed."""
     K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
-    return _norm(L * K, (K, M + 1),
+    return _norm((L, K), (K, M + 1),
                  lambda: _gram_TTt(dataset), lambda: _gram_TtT(dataset),
                  lambda v: _apply_T_aug(v, dataset),
                  lambda w: _apply_T_adjoint_aug(w, dataset))
@@ -233,5 +241,5 @@ def features_aug_norm(dataset: Dataset) -> NormEstimate:
             w = np.asarray(w).ravel()
         return np.append(w, s.sum())
 
-    return _norm(L, (M + 1,), lambda: _gram_rows(feats), lambda: _gram_cols(feats),
+    return _norm((L,), (M + 1,), lambda: _gram_rows(feats), lambda: _gram_cols(feats),
                  matvec, rmatvec)

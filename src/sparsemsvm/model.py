@@ -160,6 +160,15 @@ class Dataset:
     def n_features(self):
         return self.features.shape[1]
 
+    @cached_property
+    def own_index(self) -> np.ndarray:
+        """The flat positions `labels + K * arange(L)` of each sample's own
+        class in a C-ordered (L, K) array, read-only; built on first use
+        and kept on the instance."""
+        own = self.labels + self.n_classes * np.arange(self.n_samples)
+        own.setflags(write=False)
+        return own
+
     def dense_features(self):
         if issparse(self.features):
             return np.asarray(self.features.todense())
@@ -325,8 +334,7 @@ def make_margin_offsets(dataset):
     Returns an (L, K) array whose row l is mu_l everywhere except for an
     exact zero at the sample's own class.
     """
-    L, K = dataset.n_samples, dataset.n_classes
-    r = np.repeat(dataset.margins[:, None], K, axis=1)
-    r[np.arange(L), dataset.labels] = 0.0
+    r = np.repeat(dataset.margins[:, None], dataset.n_classes, axis=1)
+    r.reshape(-1)[dataset.own_index] = 0.0
     return r
 

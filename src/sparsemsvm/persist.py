@@ -105,9 +105,22 @@ def save_model(path, pm: PersistedModel):
             fh.write(" ".join(_fmt(v) for v in aug[k]) + "\n")
 
 
+def _positive(header, key):
+    """The header's `key` as a float, finite and > 0 as `train` requires
+    of it, or None when the header has no such line."""
+    if key not in header:
+        return None
+    value = float(header[key])
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be finite and > 0, got {header[key]!r}")
+    return value
+
+
 def load_model(path) -> PersistedModel:
     """Read a model file; header keys it does not know are ignored. A bad
-    value, group list or block size is a ValueError naming the file."""
+    value, group list or block size, a non-finite parameter, or a
+    parameter block whose row count is not the header's `classes` is a
+    ValueError naming the file."""
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
@@ -131,7 +144,12 @@ def load_model(path) -> PersistedModel:
         rows = [np.array([float(v) for v in line.split()]) for line in lines[body_start:body_start + K]]
         if len(rows) != K or any(r.size != M + 1 for r in rows):
             raise ValueError("malformed parameter block")
-        model = ModelVector.from_augmented(np.vstack(rows))
+        if any(line.strip() for line in lines[body_start + K:]):
+            raise ValueError(f"parameter block has more than the {K} class rows of its header")
+        aug = np.vstack(rows)
+        if not np.all(np.isfinite(aug)):
+            raise ValueError("parameter block holds a non-finite weight or offset")
+        model = ModelVector.from_augmented(aug)
 
         get = header.get
         pm = PersistedModel(
@@ -141,9 +159,9 @@ def load_model(path) -> PersistedModel:
             groups_text=get("groups") or None,
             group_mode=get("group_mode", "per-class"),
             solver=get("solver", ""),
-            alpha=float(header["alpha"]) if "alpha" in header else None,
-            lam=float(header["lam"]) if "lam" in header else None,
-            eta=float(header["eta"]) if "eta" in header else None,
+            alpha=_positive(header, "alpha"),
+            lam=_positive(header, "lam"),
+            eta=_positive(header, "eta"),
             iterations=int(get("iterations", "0")),
             converged=bool(int(get("converged", "0"))),
             rel_change=float(get("rel_change", "0")),

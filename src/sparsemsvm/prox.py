@@ -78,7 +78,9 @@ def project_epigraph_max_rows(Y, R, heights):
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
     if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(heights))):
         raise ValueError("epigraphical projection needs finite inputs")
-    s = np.sort(Y + R, axis=1)[:, ::-1]
+    s = Y + R
+    s.sort(axis=1)
+    s = s[:, ::-1]
     inside = s[:, 0] <= heights  # the row maximum of y + r
     theta = np.where(inside, heights, _threshold(s, heights[:, None], 1))
     P = np.where(inside[:, None], Y, np.minimum(Y, theta[:, None] - R))

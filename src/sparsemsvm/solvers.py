@@ -126,19 +126,23 @@ def _guard(x_aug, norm, objective, cap):
 def _iterate(step, x0, cfg, callback=None):
     """The iteration loop shared by every solver.
 
-    `step(x) -> (x_new, dual_rel, obj)` advances one iteration and keeps
-    any dual or momentum state in its closure. x_new must be a fresh
+    `step(x) -> (x_new, dual_rel, obj, sizes)` advances one iteration and
+    keeps any dual or momentum state in its closure. x_new must be a fresh
     array, since callers may keep every iterate. `dual_rel()` returns the
     relative change of the dual state (`_no_dual_change` for the smooth
     solvers); the stopping rule calls it only when x did not move. `obj`
     is the objective at x_new when the step computes it anyway (the FISTA
-    steps), else None. The loop owns the relative change, the divergence
-    guard, the callback and the stopping rule; the norm of x_new serves
-    the guard and, one iteration later, the relative change. `callback(it,
-    x)` sees every iterate the guard passed and must not change it. The
-    objective cap applies to the steps that hand an objective: OBJECTIVE_CAP
-    times the first one (at least 1), so a large `lam * loss` at the start
-    is not mistaken for divergence.
+    steps), else None. `sizes` is None, or the pair (||x_new - x||,
+    ||x_new||) when the step has it for less than the loop's passes over
+    every entry: a screened primal-dual step takes it from the columns it
+    ran on, since x and x_new are zero off them (the same norms, their
+    sums run over fewer zeros). The loop owns the relative change, the
+    divergence guard, the callback and the stopping rule; the norm of
+    x_new serves the guard and, one iteration later, the relative change.
+    `callback(it, x)` sees every iterate the guard passed and must not
+    change it. The objective cap applies to the steps that hand an
+    objective: OBJECTIVE_CAP times the first one (at least 1), so a large
+    `lam * loss` at the start is not mistaken for divergence.
 
     Returns (x, iterations, converged, final relative change).
     """
@@ -146,10 +150,13 @@ def _iterate(step, x0, cfg, callback=None):
     norm_x = np.linalg.norm(x0)
     diff = np.empty_like(x0)
     for it in range(1, cfg.max_iter + 1):
-        x_new, dual_rel, obj = step(x)
-        np.subtract(x_new, x, out=diff)
-        rel = _relative(np.linalg.norm(diff), norm_x)
-        x, norm_x = x_new, np.linalg.norm(x_new)
+        x_new, dual_rel, obj, sizes = step(x)
+        if sizes is None:
+            np.subtract(x_new, x, out=diff)
+            sizes = np.linalg.norm(diff), np.linalg.norm(x_new)
+        move, norm_new = sizes
+        rel = _relative(move, norm_x)
+        x, norm_x = x_new, norm_new
         if cap is None and obj is not None:
             cap = OBJECTIVE_CAP * max(1.0, abs(obj))
         _guard(x, norm_x, obj, cap)
@@ -200,11 +207,21 @@ def _extrapolate(x_new, x, out):
     return np.subtract(out, x, out=out)
 
 
+def _ascend(v, sigma, t):
+    """v + sigma * t, computed in t."""
+    np.multiply(sigma, t, out=t)
+    return np.add(v, t, out=t)
+
+
 def _dual_ascent(y, sigma, x_bar, dataset):
     """y + sigma * T x_bar, computed in T's fresh output."""
-    t = _apply_T_aug(x_bar, dataset)
-    np.multiply(sigma, t, out=t)
-    return np.add(y, t, out=t)
+    return _ascend(y, sigma, _apply_T_aug(x_bar, dataset))
+
+
+def _moreau(v_hat, sigma, p):
+    """v_hat - sigma * p for a projection's fresh output p, computed in p."""
+    np.multiply(sigma, p, out=p)
+    return np.subtract(v_hat, p, out=p)
 
 
 # Screening. A unit is what the prox zeroes as a whole: a weight column for
@@ -242,16 +259,16 @@ class _Plan(NamedTuple):
 
     bound: float          # delta: screen while e < delta
     e_ref: np.ndarray     # E(y_ref)
-    cols: np.ndarray      # the columns C of x, then its offset column
+    flat: np.ndarray      # the flat positions in x of C and the offset column, row by row
     dataset: Dataset      # the features of C
     spec: RegularizerSpec  # the penalty on C
-    ext: np.ndarray       # the extrapolation's buffer on C
+    ext: np.ndarray       # the extrapolation's buffer on C, then that of x_new - x
 
 
 class _Screen:
     """The primal step and the extrapolated dual ascent of both primal-dual
-    solvers, `(x, y) -> (x_new, y_hat)`, taken over the weight columns that
-    can move.
+    solvers, `(x, y) -> (x_new, y_hat, sizes)`, taken over the weight
+    columns that can move; `sizes` is `_iterate`'s, None for a full step.
 
     A refresh is the full step. Its T^T y also gives each unit u the slack
     (1 - SCREEN_MARGIN - D_u) / Lip_u: D_u is the unit's dual norm, and
@@ -265,7 +282,10 @@ class _Screen:
     every other unit stays an exact zero, so each step runs the three
     lines on the features of C alone and scatters the result into zeros;
     the iterates are the full steps' up to rounding, which differs only
-    in the sums over the columns. The first step with e >= delta is a
+    in the sums over the columns. Such a step does no work that grows
+    with M but for the fresh iterate it zero-fills: E(y) serves both the
+    test of e and T^T y, and the norms of x_new and of its move come from
+    C's entries. The first step with e >= delta is a
     refresh again. A plan that runs no screened step, because delta is 0
     or C would exceed SCREEN_MAX_SHARE of the columns or e is too large at
     once, postpones the next plan by 1, 2, 4, ... full steps, back to none
@@ -342,22 +362,24 @@ class _Screen:
         else:
             cols, spec = np.flatnonzero(keep), self.spec
         K, M = x_new.shape[0], self.dataset.n_features
-        return _Plan(delta, _effective_dual(y_ref, self.dataset), np.append(cols, M),
+        flat = (np.arange(K)[:, None] * (M + 1) + np.append(cols, M)).ravel()
+        return _Plan(delta, _effective_dual(y_ref, self.dataset), flat,
                      self.dataset.columns(cols), spec, np.empty((K, cols.size + 1)))
 
-    def _within(self, y):
-        """Whether e < delta at y."""
-        e = _effective_dual(y, self.dataset)
-        np.subtract(e, self.plan.e_ref, out=e)
+    def _within(self, y_eff):
+        """Whether e < delta at the dual whose E(y) is y_eff."""
+        e = np.subtract(y_eff, self.plan.e_ref)
         return float(np.sqrt(np.einsum("lk,lk->k", e, e).max())) < self.plan.bound
 
     def __call__(self, x, y):
+        y_eff = None
         if self.plan is not None:
-            if self._within(y):
+            y_eff = _effective_dual(y, self.dataset)
+            if self._within(y_eff):
                 self.backoff = 0
-                return self._screened(x, y)
+                return self._screened(x, y, y_eff)
             self.plan, self.wait = None, self.backoff
-        v = _apply_T_adjoint_aug(y, self.dataset)
+        v = _apply_T_adjoint_aug(y, self.dataset, y_eff=y_eff)
         slack = None
         if self.wait:
             self.wait -= 1
@@ -372,17 +394,19 @@ class _Screen:
             self.plan = self._plan(slack, x_new, y)
             if self.plan is None:
                 self.wait = self.backoff
-        return x_new, y_hat
+        return x_new, y_hat, None
 
-    def _screened(self, x, y):
+    def _screened(self, x, y, y_eff):
         plan = self.plan
-        xc = np.take(x, plan.cols, axis=1)
-        xc_new = prox_regularizer_aug(
-            _forward(xc, _apply_T_adjoint_aug(y, plan.dataset), self.tau), plan.spec, self.tau)
+        xc = x.take(plan.flat).reshape(plan.ext.shape)
+        v = _apply_T_adjoint_aug(y, plan.dataset, y_eff=y_eff)
+        xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau)
         y_hat = _dual_ascent(y, self.sigma, _extrapolate(xc_new, xc, plan.ext), plan.dataset)
+        # x and x_new are zero off C, so their norms are those of C's entries
+        move = np.linalg.norm(np.subtract(xc_new, xc, out=plan.ext))
         x_new = np.zeros(x.shape)
-        x_new[:, plan.cols] = xc_new
-        return x_new, y_hat
+        x_new.reshape(-1)[plan.flat] = xc_new.reshape(-1)
+        return x_new, y_hat, (move, np.linalg.norm(xc_new))
 
 
 def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
@@ -404,11 +428,11 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
 
     def step(x):
         nonlocal y
-        x_new, y_hat = primal(x, y)
+        x_new, y_hat, sizes = primal(x, y)
         y_new = project_simplex_rows(np.add(y_hat, sigma_r, out=y_hat), lam)
         dual_rel = _dual_change([(y_new, y)])
         y = y_new
-        return x_new, dual_rel, None
+        return x_new, dual_rel, None, sizes
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, lam=lam, dual_y=y)
@@ -451,15 +475,14 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
 
     def step(x):
         nonlocal zeta, y, xi
-        x_new, y_hat = primal(x, y)
+        x_new, y_hat, sizes = primal(x, y)
         zeta_new = project_halfspace_sum(zeta - tau * xi, eta)
-        xi_hat = xi + sigma * (2.0 * zeta_new - zeta)
+        xi_hat = _ascend(xi, sigma, _extrapolate(zeta_new, zeta, np.empty(L)))
         y_tilde, xi_tilde = project_epigraph_max_rows(y_hat / sigma, r, xi_hat / sigma)
-        y_new = np.subtract(y_hat, np.multiply(sigma, y_tilde, out=y_tilde), out=y_tilde)
-        xi_new = xi_hat - sigma * xi_tilde
+        y_new, xi_new = _moreau(y_hat, sigma, y_tilde), _moreau(xi_hat, sigma, xi_tilde)
         dual_rel = _dual_change([(y_new, y), (xi_new, xi), (zeta_new, zeta)])
         zeta, y, xi = zeta_new, y_new, xi_new
-        return x_new, dual_rel, None
+        return x_new, dual_rel, None, sizes
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, eta=eta, dual_y=y)
@@ -472,7 +495,7 @@ def _square_loss_grad(x_aug, dataset, r, lam):
     """Value and gradient of lam * sum of squared positive margin gaps."""
     A = _apply_T_aug(x_aug, dataset) + r
     pos = np.maximum(A, 0.0)
-    pos[np.arange(dataset.n_samples), dataset.labels] = 0.0  # own class excluded
+    pos.reshape(-1)[dataset.own_index] = 0.0  # own class excluded
     value = lam * float((pos ** 2).sum())
     grad = 2.0 * lam * _apply_T_adjoint_aug(pos, dataset)
     return value, grad
@@ -483,7 +506,7 @@ def _logistic_loss_grad(x_aug, dataset, r, lam):
     lam * sum_l log(1 + sum_{k != z_l} exp(mu_l + score gap)), evaluated
     with max-subtraction for numerical stability."""
     A = _apply_T_aug(x_aug, dataset) + r
-    A[np.arange(dataset.n_samples), dataset.labels] = -np.inf  # own class excluded
+    A.reshape(-1)[dataset.own_index] = -np.inf  # own class excluded
     m = np.maximum(A.max(axis=1), 0.0)
     expA = np.exp(A - m[:, None])
     denom = np.exp(-m) + expA.sum(axis=1)
@@ -516,7 +539,7 @@ def _fista(x0, loss_grad, spec, gamma, cfg, callback=None):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         v = x_new + ((t - 1.0) / t_new) * (x_new - x)
         t, obj_x = t_new, obj_new
-        return x_new, _no_dual_change, obj_new
+        return x_new, _no_dual_change, obj_new, None
 
     return _iterate(step, x0, cfg, callback)
 
@@ -549,7 +572,8 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
 
     def step(x):
         _, grad = _logistic_loss_grad(x, dataset, r, lam)
-        return prox_regularizer_aug(x - gamma * grad, spec, gamma), _no_dual_change, None
+        x_new = prox_regularizer_aug(x - gamma * grad, spec, gamma)
+        return x_new, _no_dual_change, None, None
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, lam=lam)

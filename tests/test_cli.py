@@ -812,6 +812,11 @@ def _eval_on(lines, data):
     ("group_mode", "diagonal", "unknown group mode 'diagonal'"),
     ("regularizer", "l0", "unknown regularizer 'l0'"),
     ("lam", "half", "could not convert string to float: 'half'"),
+    ("lam", "nan", "lam must be finite and > 0, got 'nan'"),
+    ("lam", "0", "lam must be finite and > 0, got '0'"),
+    ("alpha", "inf", "alpha must be finite and > 0, got 'inf'"),
+    ("alpha", "1e999", "alpha must be finite and > 0, got '1e999'"),
+    ("eta", "-2", "eta must be finite and > 0, got '-2'"),
 ])
 def test_a_bad_model_header_is_one_error_line_naming_the_file(grouped_model, key, value,
                                                                  message):
@@ -827,6 +832,47 @@ def test_a_bad_model_header_is_one_error_line_naming_the_file(grouped_model, key
 def test_a_good_group_header_evaluates(grouped_model, key, value):
     lines, data = grouped_model
     code, err = _eval_on(_with_header(lines, key, value), data)
+    assert (code, err) == (0, "")
+
+
+def _body(lines):
+    """The index of the first row of the parameter block in `lines`."""
+    return lines.index("end-header") + 1
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("extra row", "parameter block has more than the 3 class rows of its header"),
+    ("classes 2", "parameter block has more than the 2 class rows of its header"),
+    ("nan", "parameter block holds a non-finite weight or offset"),
+    ("-inf", "parameter block holds a non-finite weight or offset"),
+    ("1e999", "parameter block holds a non-finite weight or offset"),
+    ("short row", "malformed parameter block"),
+    ("missing row", "malformed parameter block"),
+])
+def test_a_bad_parameter_block_is_one_error_line_naming_the_file(grouped_model, defect,
+                                                                 message):
+    lines, data = grouped_model
+    lines, body = list(lines), _body(lines)
+    if defect == "extra row":
+        lines.append(lines[body])
+    elif defect == "classes 2":
+        lines[lines.index("classes 3")] = "classes 2"
+    elif defect == "short row":
+        lines[body + 1] = lines[body + 1].rsplit(" ", 1)[0]
+    elif defect == "missing row":
+        del lines[-1]
+    else:
+        cells = lines[body + 2].split()
+        cells[3] = defect
+        lines[body + 2] = " ".join(cells)
+    code, err = _eval_on(lines, data)
+    assert code == 1
+    assert err == f"error: m.model: {message}\n", err
+
+
+def test_blank_lines_after_the_parameter_block_evaluate(grouped_model):
+    lines, data = grouped_model
+    code, err = _eval_on(list(lines) + ["", "  \t"], data)
     assert (code, err) == (0, "")
 
 
@@ -880,3 +926,105 @@ def test_fuzzed_model_header_ends_in_a_result_or_one_error_line(grouped_model, e
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert code == 0 and err == "", err
+
+
+CELL_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "-2.5", "1e-320", "1e300", "nan", "inf", "-inf", "1e999",
+                     "", "x", "1,5", "0x10", "1_0", "9" * 30]),
+    st.text(st.sampled_from(list("0123456789.-+eEnaif_ ")), max_size=6))
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert", "copy row",
+                                                 "drop row", "append"]),
+                                st.integers(0, 20), st.integers(0, 20), CELL_VALUE),
+                      min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_parameter_block_ends_in_a_result_or_one_error_line(grouped_model, edits):
+    lines, data = grouped_model
+    lines, body = list(lines), _body(lines)
+    for op, row, cell, value in edits:
+        rows = len(lines) - body
+        if op == "append":
+            lines.append(value)
+            continue
+        if not rows:
+            continue
+        at = body + row % rows
+        if op == "copy row":
+            lines.insert(at, lines[at])
+        elif op == "drop row":
+            del lines[at]
+        else:
+            cells = lines[at].split(" ")
+            i = cell % (len(cells) + (op == "insert"))
+            if op == "insert":
+                cells.insert(i, value)
+            elif op == "replace":
+                cells[i] = value
+            else:
+                del cells[i]
+            lines[at] = " ".join(cells)
+    code, err = _eval_on(lines, data)
+    if code == 1:
+        assert err.startswith("error: m.model: ") and err.count("\n") == 1, err
+    else:
+        assert code == 0 and err == "", err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the svmlight reader through `train --format svmlight`
+
+def _small_svmlight(content, largest_label=20, largest_index=50):
+    """False when a line's label or a feature index parses to an integer
+    above its bound: such a file is valid, and training on that many
+    classes or features only costs time and memory."""
+    try:
+        lines = content.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        return True
+    for line in lines:
+        tokens = line.split("#", 1)[0].split()
+        for i, token in enumerate(tokens):
+            parts = token.split(":") if i else [token]
+            try:
+                if len(parts) == (2 if i else 1) and \
+                        int(parts[0]) > (largest_index if i else largest_label):
+                    return False
+            except ValueError:
+                pass
+    return True
+
+
+SVM_TOKEN = st.one_of(
+    st.builds("{}:{}".format, st.integers(-1, 8), CELL),
+    st.text(st.sampled_from(list("0123456789:.-+eEnaif_# ")), max_size=6))
+# a row's features: in increasing index order, as a valid file holds them,
+# or any tokens
+SVM_FEATURES = st.one_of(
+    st.lists(st.tuples(st.integers(1, 8), CELL), unique_by=lambda p: p[0], max_size=4).map(
+        lambda pairs: [f"{i}:{v}" for i, v in sorted(pairs)]),
+    st.lists(SVM_TOKEN, max_size=4))
+SVM_TEXT = st.lists(st.tuples(st.sampled_from(["1", "2", "3"] * 3 + ["0", "-1", "x", ""]),
+                              SVM_FEATURES), max_size=5).map(
+    lambda rows: "\n".join(" ".join([label] + tokens) for label, tokens in rows).encode("utf-8"))
+
+
+@given(st.one_of(st.binary(max_size=120), SVM_TEXT))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_svmlight_ends_in_a_result_or_one_error_line(content):
+    assume(_small_svmlight(content))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "x.svm")
+        with open(data, "wb") as fh:
+            fh.write(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--data", data, "--format", "svmlight", "--solver",
+                         "fbpd-reg", "--alpha", "1", "--max-iter", "3",
+                         "--out", os.path.join(tmp, "m.model")])
+        err = err.getvalue()
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        # a file that happens to be valid trains; 3 iterations do not converge
+        assert code in (0, 2) and err == "", err

@@ -12,6 +12,7 @@ screen's columns alone, which sum in another order.
 """
 
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -266,9 +267,9 @@ def test_screened_steps_match_the_reference_to_rounding(monkeypatch, solver, kin
     cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=400, rel_tol=1e-12, norm_T=norm)
     widths = []
 
-    def adjoint(y, dataset, inner=solvers._apply_T_adjoint_aug):
+    def adjoint(y, dataset, y_eff=None, inner=solvers._apply_T_adjoint_aug):
         widths.append(dataset.n_features)
-        return inner(y, dataset)
+        return inner(y, dataset, y_eff=y_eff)
 
     monkeypatch.setattr(solvers, "_apply_T_adjoint_aug", adjoint)
     if solver == "fbpd-reg":
@@ -283,6 +284,38 @@ def test_screened_steps_match_the_reference_to_rounding(monkeypatch, solver, kin
     got = report.model.augmented()
     assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
     np.testing.assert_array_equal(got != 0.0, x != 0.0)
+
+
+@pytest.mark.parametrize("kind, mode", [("l1", None), ("l1inf", "cross-class")])
+@pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
+def test_the_loop_stops_on_the_relative_changes_of_the_full_iterates(monkeypatch, solve,
+                                                                      kind, mode):
+    # a screened step hands the loop the norms of x_new and of its move
+    # over its columns alone; they must be those of the full iterates, up
+    # to the order in which the sums run
+    ds, norm = _wide(False)
+    blocks = None if mode is None else BlockStructure.contiguous(2000, 2, mode=mode)
+    cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=400, rel_tol=1e-12, norm_T=norm)
+    read, narrow = [], []
+
+    def relative(move, size, inner=solvers._relative):
+        rel = inner(move, size)
+        if sys._getframe(1).f_code is _iterate.__code__:
+            read.append(rel)
+        return rel
+
+    def adjoint(y, dataset, y_eff=None, inner=solvers._apply_T_adjoint_aug):
+        narrow.append(dataset.n_features < ds.n_features)
+        return inner(y, dataset, y_eff=y_eff)
+
+    monkeypatch.setattr(solvers, "_relative", relative)
+    monkeypatch.setattr(solvers, "_apply_T_adjoint_aug", adjoint)
+    rels = RelChanges()
+    report = solve(ds, RegularizerSpec(kind, blocks), cfg, callback=rels)
+    assert report.iterations == len(read) == len(rels.values) == 400
+    assert sum(narrow) >= 0.6 * report.iterations
+    np.testing.assert_allclose(read, rels.values, rtol=1e-12, atol=0.0)
+    assert report.final_rel_change == read[-1]
 
 
 def test_frozen_primal_waits_for_the_dual_as_the_reference_does():
@@ -344,7 +377,7 @@ def _run(iterates, objectives=None, max_iter=None):
 
     def step(x):
         x_new, obj = next(seq)
-        return np.array(x_new, dtype=float), _no_dual_change, obj
+        return np.array(x_new, dtype=float), _no_dual_change, obj, None
 
     cfg = SolverConfig(max_iter=max_iter or len(iterates), rel_tol=0.0)
     return _iterate(step, np.zeros(4), cfg)

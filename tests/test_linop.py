@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import oracles
 from conftest import random_dataset
@@ -237,6 +238,31 @@ def test_lanczos_features_aug_norm_matches_dense_svd(sparse):
     assert est.value == pytest.approx(1.01 * truth, rel=1e-8, abs=0.0)
     assert est.value >= truth
     assert features_aug_norm(ds) == est
+
+
+@pytest.mark.parametrize("norm, L, M, K, side", [
+    (operator_norm, 140, 150, 3, 420),  # T T^T, against T^T T of side 453
+    (operator_norm, 150, 140, 3, 423),  # T^T T, against T T^T of side 450
+    (features_aug_norm, 401, 410, 1, 401),  # the rows' Gram, against side 411
+    (features_aug_norm, 410, 401, 1, 402),  # the columns' Gram, against side 410
+])
+def test_lanczos_runs_on_the_smaller_gram(monkeypatch, norm, L, M, K, side):
+    ds = _large_case(L, M, K, False)
+    if norm is operator_norm:
+        truth = np.linalg.svd(oracles.dense_T_matrix(ds), compute_uv=False)[0]
+    else:
+        truth = np.linalg.svd(np.hstack([ds.dense_features(), np.ones((L, 1))]),
+                              compute_uv=False)[0]
+    sides = []
+
+    def eigsh(A, *args, inner=scipy.sparse.linalg.eigsh, **kwargs):
+        sides.append(A.shape)
+        return inner(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    est = norm(ds)
+    assert sides == [(side, side)]
+    assert est.converged and est.value == pytest.approx(1.01 * truth, rel=1e-8, abs=0.0)
 
 
 def test_lanczos_restarts_are_seeded():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.zeros((2, 2)), [0, 1], n_classes=2,
                                 margins=[1.0, 0.0])
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_own_index_is_the_flat_own_class_position(self, rng, sparse):
+        ds = random_dataset(rng, L=9, M=5, K=4, sparse=sparse)
+        made = {"full": ds, "subset": ds.subset([7, 2, 2, 0]), "columns": ds.columns([4, 1])}
+        for name, d in made.items():
+            own = d.own_index
+            np.testing.assert_array_equal(own, d.labels + d.n_classes * np.arange(d.n_samples))
+            assert not own.flags.writeable, name
+            with pytest.raises(ValueError):
+                own[0] = 1
+            assert d.own_index is own  # built once
+            scores = rng.standard_normal((d.n_samples, d.n_classes))
+            np.testing.assert_array_equal(scores.take(own),
+                                          scores[np.arange(d.n_samples), d.labels])
+        assert "own_index" not in {f.name for f in dataclasses.fields(Dataset)}
 
 
 @given(M=st.integers(1, 60), size=st.integers(1, 13))
