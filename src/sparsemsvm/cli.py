@@ -184,12 +184,16 @@ def cmd_train(args):
 def cmd_eval(args):
     pm = load_model(args.model)
     dataset = _load_dataset(args.data, args.format)
+    stats_path = args.model + ".stats"
     try:
-        stats = load_standardize_stats(args.model + ".stats")
+        stats = load_standardize_stats(stats_path)
     except FileNotFoundError:
         stats = None
     if stats is not None:
-        dataset = datamod.apply_standardize(dataset, stats)
+        try:
+            dataset = datamod.apply_standardize(dataset, stats)
+        except ValueError as exc:
+            raise DataFormatError(f"{stats_path}: {exc}") from None
     spec = pm.regularizer_spec()
     ev = evaluate_model(pm.model, dataset, spec, lam=pm.lam, threshold=args.threshold)
     nz = "+".join(str(int(c)) for c in ev.nonzeros_per_class)

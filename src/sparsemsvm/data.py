@@ -202,16 +202,21 @@ def standardize(dataset: Dataset):
 def apply_standardize(dataset: Dataset, stats: StandardizeStats) -> Dataset:
     """Replay `stats` on a dataset. Sparse features stay sparse when the
     stats hold a zero mean (scale only); otherwise they are densified and
-    centered."""
+    centered. A standardized value that overflows raises ValueError."""
     if stats.scale.shape != (dataset.n_features,):
         raise ValueError(f"standardize stats cover {stats.scale.size} features, "
                          f"the data has {dataset.n_features}")
-    if issparse(dataset.features) and not np.any(stats.mean):
-        import scipy.sparse as sp
-        feats = sp.csr_matrix(dataset.features, copy=True)
-        feats.data /= stats.scale[feats.indices]
-    else:
-        feats = (dataset.dense_features() - stats.mean) / stats.scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        if issparse(dataset.features) and not np.any(stats.mean):
+            import scipy.sparse as sp
+            feats = sp.csr_matrix(dataset.features, copy=True)
+            feats.data /= stats.scale[feats.indices]
+            bad = feats.indices[~np.isfinite(feats.data)]
+        else:
+            feats = (dataset.dense_features() - stats.mean) / stats.scale
+            bad = np.flatnonzero(~np.isfinite(feats).all(axis=0))
+    if bad.size:
+        raise ValueError(f"standardizing feature {bad.min() + 1} overflows the float range")
     return Dataset(feats, dataset.labels, dataset.n_classes, dataset.margins)
 
 
@@ -221,12 +226,36 @@ def save_standardize_stats(path, stats: StandardizeStats):
         fh.write(" ".join(format(v, ".17g") for v in stats.scale) + "\n")
 
 
+def _stats_line(fh, path, lineno, name):
+    """The numbers on the next line of a stats file, as an array."""
+    values = []
+    for token in fh.readline().split():
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: {name} {token!r} is not a number") from None
+    return np.array(values, dtype=np.float64)
+
+
 def load_standardize_stats(path) -> StandardizeStats:
+    """The stats that `save_standardize_stats` wrote: a line of means, then
+    a line of scales, one per feature. A mean must be finite and a scale
+    finite and > 0; a defect raises DataFormatError naming `path:line`."""
     with open_text(path) as fh:
-        mean = np.array([float(v) for v in fh.readline().split()])
-        scale = np.array([float(v) for v in fh.readline().split()])
-    if mean.shape != scale.shape or mean.size == 0:
-        raise DataFormatError(f"{path}: malformed stats file")
+        mean = _stats_line(fh, path, 1, "mean")
+        scale = _stats_line(fh, path, 2, "scale")
+    if mean.size == 0:
+        raise DataFormatError(f"{path}:1: no means")
+    if scale.size != mean.size:
+        raise DataFormatError(f"{path}:2: {scale.size} scales for {mean.size} means")
+    bad = np.flatnonzero(~np.isfinite(mean))
+    if bad.size:
+        raise DataFormatError(f"{path}:1: mean {float(mean[bad[0]])!r} of feature {bad[0] + 1} "
+                              "is not finite")
+    bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0)))
+    if bad.size:
+        raise DataFormatError(f"{path}:2: scale {float(scale[bad[0]])!r} of feature {bad[0] + 1} "
+                              "is not finite and > 0")
     return StandardizeStats(mean, scale)
 
 

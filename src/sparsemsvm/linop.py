@@ -4,8 +4,9 @@ and the operator norms used to set step sizes.
 T is always applied matrix-free: the L*K x (M+1)*K matrix is never
 materialized, and the implicit augmentation [features, 1] is applied on
 the fly. Its norm comes from the smaller of the Grams T T^T and T^T T:
-exact when that Gram is small, and otherwise a Lanczos estimate of its
-largest eigenvalue, from products with T and T^T alone.
+exact when factoring that Gram costs less than the products with T and
+T^T that Lanczos would take, and otherwise a Lanczos estimate of its
+largest eigenvalue, from those products alone.
 """
 
 from __future__ import annotations
@@ -84,10 +85,15 @@ def _apply_T_aug(x_aug, dataset):
     return scores - own[:, None]
 
 
-def _effective_dual(y, dataset):
+def _effective_dual(y, dataset, out=None):
     """y_eff(l, k) = y(l, k) - delta_{k=z_l} sum_j y(l, j), the weights of the
-    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array."""
-    y_eff = y.copy()
+    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array or in the
+    C-ordered `out`."""
+    if out is None:
+        y_eff = y.copy()
+    else:
+        y_eff = out
+        np.copyto(y_eff, y)
     y_eff.reshape(-1)[dataset.own_index] -= y.sum(axis=1)
     return y_eff
 
@@ -119,12 +125,18 @@ _START_SEED = 0
 _LANCZOS_MAX_RESTARTS = 100
 _SAFETY = 1.01
 
-# Largest Gram side for which a norm is exact. Forming and factoring a
-# side-n Gram costs O(n^3), a Lanczos product with either Gram O(L*M*K). Measured
-# with one BLAS thread: the exact norm took 1.5 ms at side 114 and 12 ms at
-# 390 (K=3, M=7129), where Lanczos took 59 and 152 ms; with both sides near
-# 400 it took 8 ms against 1.4 ms, and at sides 810 to 900 55-80 ms against
-# 2-38 ms.
+# The rule between the exact Gram and Lanczos, by cost. Forming and factoring
+# a side-n Gram costs O(n^3); a Lanczos run takes 30-100 products with the
+# Gram, each reading the nnz([F, 1]) * K entries of T and T^T. The exact
+# Gram is taken while n^3 <= EXACT_GRAM_MAX_SIDE * max(EXACT_GRAM_MAX_SIDE^2,
+# entries / 2): always up to this side, where it costs at most about 10 ms,
+# and above it while n^3 is at most 200 times the entries. Measured with one
+# BLAS thread, exact against Lanczos: at K=3, M=7129, 10 against 88 ms at
+# side 420 (L=140, n^3 25 times the entries), 71 against 196 ms at 900 (114
+# times) and 344 against 220 ms at 1500 (316 times); at K=10, M=2000, where
+# Lanczos's products cost less per entry, 19 against 12 ms at side 600 (180
+# times, still exact) and 95 against 31 ms at 1000 (500 times). 0 takes
+# Lanczos on every shape.
 EXACT_GRAM_MAX_SIDE = 400
 
 
@@ -177,17 +189,23 @@ def _exact_norm(gram):
                         True, 0)
 
 
-def _norm(u_shape, v_shape, row_gram, col_gram, matvec, rmatvec):
+def _entries(features):
+    """The entries of the augmented samples [F, 1] that a product reads."""
+    return (features.nnz if issparse(features) else features.size) + features.shape[0]
+
+
+def _norm(u_shape, v_shape, row_gram, col_gram, matvec, rmatvec, entries):
     """The norm of a map A from arrays of `v_shape` to arrays of `u_shape`,
     with the safety factor, from the smaller of A A^T (side the size of
-    u_shape, which wins ties) and A^T A: exact when that side is at most
+    u_shape, which wins ties) and A^T A. A product with A or A^T reads
+    `entries` entries. Exact when that side passes the rule of
     EXACT_GRAM_MAX_SIDE, else by Lanczos (ARPACK's `eigsh`) on that Gram
     from the seeded start, which counts its products and reports a NaN
     unconverged value when its restarts run out."""
     row_side, col_side = int(np.prod(u_shape)), int(np.prod(v_shape))
     on_rows = row_side <= col_side
     side = min(row_side, col_side)
-    if side <= EXACT_GRAM_MAX_SIDE:
+    if side ** 3 <= EXACT_GRAM_MAX_SIDE * max(EXACT_GRAM_MAX_SIDE ** 2, entries / 2):
         return _exact_norm(row_gram() if on_rows else col_gram())
     # scipy is imported only here: a dense run below the limit never needs it
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -221,7 +239,8 @@ def operator_norm(dataset: Dataset) -> NormEstimate:
     return _norm((L, K), (K, M + 1),
                  lambda: _gram_TTt(dataset), lambda: _gram_TtT(dataset),
                  lambda v: _apply_T_aug(v, dataset),
-                 lambda w: _apply_T_adjoint_aug(w, dataset))
+                 lambda w: _apply_T_adjoint_aug(w, dataset),
+                 _entries(dataset.features) * K)
 
 
 def features_aug_norm(dataset: Dataset) -> NormEstimate:
@@ -242,4 +261,4 @@ def features_aug_norm(dataset: Dataset) -> NormEstimate:
         return np.append(w, s.sum())
 
     return _norm((L,), (M + 1,), lambda: _gram_rows(feats), lambda: _gram_cols(feats),
-                 matvec, rmatvec)
+                 matvec, rmatvec, _entries(feats))

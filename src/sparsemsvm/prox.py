@@ -4,6 +4,8 @@ regularizer proxes on the (K, M+1) augmented array."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .model import ModelVector, RegularizerSpec
@@ -12,24 +14,38 @@ from .model import ModelVector, RegularizerSpec
 # ---------------------------------------------------------------------------
 # simplex and l1-ball projections
 
+@functools.lru_cache(maxsize=None)
+def _divisors(n, d):
+    """The read-only divisors d + 1, ..., d + n of `_threshold`'s running
+    sums (exact as floats: dividing by them gives the bits of the ints)."""
+    div = np.arange(1.0 + d, n + 1.0 + d)
+    div.flags.writeable = False
+    return div
+
+
 def _threshold(s, c, d):
     """theta = (c + s_1 + ... + s_rho) / (rho + d) per row of `s` (sorted in
     descending order), rho the last j with s_j > (c + s_1 + ... + s_j) /
-    (j + d), and c / d where there is none. `c` is a number or an (L, 1)
-    column: c = -radius, d = 0 for the simplex (Duchi et al., ICML 2008),
-    c = height, d = 1 for the epigraph of the max."""
-    n = s.shape[1]
-    thetas = np.cumsum(s, axis=1)
+    (j + d), and c where there is none for d = 1. `c` is a number or an
+    (L, 1) column: c = -radius, d = 0 for the simplex (Duchi et al., ICML
+    2008), c = height, d = 1 for the epigraph of the max.
+
+    Returns theta and the last column of the running means, (c + s_1 +
+    ... + s_n) / (n + d): a non-finite entry of a row, or of c, leaves its
+    row's value non-finite (so does an overflow)."""
+    L, n = s.shape
+    thetas = np.add.accumulate(s, axis=1)
     thetas += c
-    thetas /= np.arange(1 + d, n + 1 + d)
+    thetas /= _divisors(n, d)
     cross = s > thetas
-    # the last crossing; a row without one reads index n - 1 here
-    last = (n - 1) - np.argmax(cross[:, ::-1], axis=1)
-    rows = np.arange(s.shape[0])
-    theta = thetas[rows, last]
+    # the flat position of each row's last crossing; a row without one
+    # reads its last column here
+    last = np.arange(n - 1, L * n, n)
+    last -= cross[:, ::-1].argmax(axis=1)
+    theta = thetas.take(last)
     if d:
-        theta = np.where(cross[rows, last], theta, np.ravel(c) / d)
-    return theta
+        theta = np.where(cross.take(last), theta, c.ravel())
+    return theta, thetas[:, -1]
 
 
 def project_simplex_rows(U, radius):
@@ -43,8 +59,11 @@ def project_simplex_rows(U, radius):
     if not radius > 0:
         raise ValueError("simplex radius must be positive")
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-    theta = _threshold(np.sort(U, axis=1)[:, ::-1], -radius, 0)
-    return np.maximum(U - theta[:, None], 0.0)
+    s = U.copy()
+    s.sort(axis=1)
+    theta, _ = _threshold(s[:, ::-1], -radius, 0)
+    out = np.subtract(U, theta[:, None])
+    return np.maximum(out, 0.0, out=out)
 
 
 def project_l1_ball_rows(V, radius):
@@ -57,9 +76,13 @@ def project_l1_ball_rows(V, radius):
     over = np.flatnonzero(np.abs(V).sum(axis=1) > radius)
     out = V.copy()
     if over.size:
-        w = V[over]
-        out[over] = np.sign(w) * project_simplex_rows(np.abs(w), radius)
+        out[over] = _onto_l1_ball(V[over], radius)
     return out
+
+
+def _onto_l1_ball(w, radius):
+    """The projections of rows w, each outside the l1 ball of `radius`."""
+    return np.sign(w) * project_simplex_rows(np.abs(w), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +94,28 @@ def project_epigraph_max_rows(Y, R, heights):
     For each row the new height theta solves theta = height +
     sum_k (y^(k) + r^(k) - theta)_+ (`_threshold`), and the point is
     p = min(y, theta - r). Rows already in the epigraph pass through
-    unchanged.
+    unchanged. A non-finite entry of Y or of the heights raises
+    ValueError.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     R = np.atleast_2d(np.asarray(R, dtype=np.float64))
     heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
-    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(heights))):
+    # the threshold search's last running means hold every entry of their
+    # rows and the heights, so they are finite where the inputs are; only
+    # where one is not (a finite row can overflow) do the inputs decide.
+    # Before that test, inf - inf makes a nan quietly
+    with np.errstate(invalid="ignore"):
+        s = Y + R
+        s.sort(axis=1)
+        s = s[:, ::-1]
+        theta, total = _threshold(s, heights[:, None], 1)
+    if not (np.isfinite(total).all() or np.isfinite(Y).all() and np.isfinite(heights).all()):
         raise ValueError("epigraphical projection needs finite inputs")
-    s = Y + R
-    s.sort(axis=1)
-    s = s[:, ::-1]
     inside = s[:, 0] <= heights  # the row maximum of y + r
-    theta = np.where(inside, heights, _threshold(s, heights[:, None], 1))
-    P = np.where(inside[:, None], Y, np.minimum(Y, theta[:, None] - R))
+    np.copyto(theta, heights, where=inside)
+    P = np.subtract(theta[:, None], R)
+    np.minimum(Y, P, out=P)
+    np.copyto(P, Y, where=inside[:, None])
     return P, theta
 
 
@@ -160,8 +192,17 @@ def _block_soft_threshold_rows(rows, step):
 
 
 def _linf_prox_rows(rows, step):
-    """prox of step*||.||_inf per row: w - P_{l1 ball radius step}(w)."""
-    return rows - project_l1_ball_rows(rows, step)
+    """prox of step*||.||_inf per row: w - P_{l1 ball radius step}(w).
+
+    A finite row inside the ball maps to w - w = +0.0, so those rows are
+    zero-filled, not copied and subtracted. A row whose l1 norm is nan
+    takes the projection's path, which keeps it non-finite."""
+    out = np.zeros(rows.shape)
+    over = np.flatnonzero(~(np.abs(rows).sum(axis=1) <= step))
+    if over.size:
+        w = rows[over]
+        out[over] = w - _onto_l1_ball(w, step)
+    return out
 
 
 def _prox_weights(W, spec, step, out):
@@ -176,9 +217,10 @@ def _prox_weights(W, spec, step, out):
     return _ungroup_rows(batches, spec.blocks, out)
 
 
-def prox_regularizer_aug(x_aug, spec: RegularizerSpec, step: float):
-    """prox of step * g at the (K, M+1) augmented array x_aug; offsets (the
-    last column) pass through untouched.
+def prox_regularizer_aug(x_aug, spec: RegularizerSpec, step: float, out=None):
+    """prox of step * g at the (K, M+1) augmented array x_aug, in a fresh
+    array or in `out`, which must not overlap x_aug; offsets (the last
+    column) pass through untouched.
 
     l1: componentwise soft threshold. l12: per-group block soft threshold.
     l1inf: per-group Moreau complement of the l1-ball projection. l2sq
@@ -188,7 +230,8 @@ def prox_regularizer_aug(x_aug, spec: RegularizerSpec, step: float):
     """
     if not step > 0:
         raise ValueError("prox step must be positive")
-    out = np.empty(x_aug.shape)
+    if out is None:
+        out = np.empty(x_aug.shape)
     _prox_weights(x_aug[:, :-1], spec, step, out[:, :-1])
     out[:, -1] = x_aug[:, -1]
     return out

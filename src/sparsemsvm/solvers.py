@@ -195,10 +195,12 @@ def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
 # their order of the plain expression in its docstring, so the iterates
 # are bitwise those of that expression.
 
-def _forward(x, v, tau):
-    """x - tau * v for the adjoint's fresh output v = T^T y, computed in v."""
-    np.multiply(tau, v, out=v)
-    return np.subtract(x, v, out=v)
+def _forward(x, v, tau, out=None):
+    """x - tau * v, computed in `out`, by default in v (the adjoint's fresh
+    output T^T y)."""
+    out = v if out is None else out
+    np.multiply(tau, v, out=out)
+    return np.subtract(x, out, out=out)
 
 
 def _extrapolate(x_new, x, out):
@@ -283,10 +285,11 @@ class _Screen:
     lines on the features of C alone and scatters the result into zeros;
     the iterates are the full steps' up to rounding, which differs only
     in the sums over the columns. Such a step does no work that grows
-    with M but for the fresh iterate it zero-fills: E(y) serves both the
-    test of e and T^T y, and the norms of x_new and of its move come from
-    C's entries. The first step with e >= delta is a
-    refresh again. A plan that runs no screened step, because delta is 0
+    with M but for the fresh iterate it zero-fills: it starts from the
+    compact iterate on C that the previous screened step kept, E(y) serves
+    both the test of e and T^T y, and the norms of x_new and of its move
+    come from C's entries. The first step with e >= delta is a refresh
+    again. A plan that runs no screened step, because delta is 0
     or C would exceed SCREEN_MAX_SHARE of the columns or e is too large at
     once, postpones the next plan by 1, 2, 4, ... full steps, back to none
     after a plan that screens. l2sq zeroes no weight and is never screened.
@@ -294,9 +297,14 @@ class _Screen:
 
     def __init__(self, dataset, spec, tau, sigma):
         self.dataset, self.spec, self.tau, self.sigma = dataset, spec, tau, sigma
-        K, M = dataset.n_classes, dataset.n_features
+        K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
         self.ext = np.empty((K, M + 1))
+        # E(y) and the test's E(y) - E(y_ref), in buffers of the solve
+        self.y_eff, self.e = np.empty((L, K)), np.empty((L, K))
         self.plan = None
+        # the compact iterate of the last screened step (None after a full
+        # one) and the spare buffer the next one writes its prox into
+        self.xc = self.spare = None
         # wait: full steps before the next plan; backoff: the wait that
         # follows a plan that runs no screened step
         self.backoff = self.wait = 0
@@ -368,17 +376,18 @@ class _Screen:
 
     def _within(self, y_eff):
         """Whether e < delta at the dual whose E(y) is y_eff."""
-        e = np.subtract(y_eff, self.plan.e_ref)
+        e = np.subtract(y_eff, self.plan.e_ref, out=self.e)
         return float(np.sqrt(np.einsum("lk,lk->k", e, e).max())) < self.plan.bound
 
     def __call__(self, x, y):
         y_eff = None
         if self.plan is not None:
-            y_eff = _effective_dual(y, self.dataset)
+            y_eff = _effective_dual(y, self.dataset, out=self.y_eff)
             if self._within(y_eff):
                 self.backoff = 0
                 return self._screened(x, y, y_eff)
             self.plan, self.wait = None, self.backoff
+        self.xc = self.spare = None
         v = _apply_T_adjoint_aug(y, self.dataset, y_eff=y_eff)
         slack = None
         if self.wait:
@@ -398,14 +407,20 @@ class _Screen:
 
     def _screened(self, x, y, y_eff):
         plan = self.plan
-        xc = x.take(plan.flat).reshape(plan.ext.shape)
+        # x is the last step's x_new: after a screened step of this plan
+        # its entries on C are that step's compact iterate, kept
+        xc = self.xc
+        if xc is None:
+            xc = x.take(plan.flat).reshape(plan.ext.shape)
         v = _apply_T_adjoint_aug(y, plan.dataset, y_eff=y_eff)
-        xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau)
+        xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau,
+                                      out=self.spare)
         y_hat = _dual_ascent(y, self.sigma, _extrapolate(xc_new, xc, plan.ext), plan.dataset)
         # x and x_new are zero off C, so their norms are those of C's entries
         move = np.linalg.norm(np.subtract(xc_new, xc, out=plan.ext))
         x_new = np.zeros(x.shape)
         x_new.reshape(-1)[plan.flat] = xc_new.reshape(-1)
+        self.xc, self.spare = xc_new, xc
         return x_new, y_hat, (move, np.linalg.norm(xc_new))
 
 
@@ -472,13 +487,17 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
     y = np.zeros((L, K))
     xi = np.zeros(L)
     primal = _Screen(dataset, spec, tau, sigma)
+    # the step's temporaries: zeta - tau * xi, xi_hat, y_hat / sigma and
+    # xi_hat / sigma; the states and the projections' outputs stay fresh
+    zeta_fwd, xi_hat, y_scaled, xi_scaled = np.empty(L), np.empty(L), np.empty((L, K)), np.empty(L)
 
     def step(x):
         nonlocal zeta, y, xi
         x_new, y_hat, sizes = primal(x, y)
-        zeta_new = project_halfspace_sum(zeta - tau * xi, eta)
-        xi_hat = _ascend(xi, sigma, _extrapolate(zeta_new, zeta, np.empty(L)))
-        y_tilde, xi_tilde = project_epigraph_max_rows(y_hat / sigma, r, xi_hat / sigma)
+        zeta_new = project_halfspace_sum(_forward(zeta, xi, tau, out=zeta_fwd), eta)
+        _ascend(xi, sigma, _extrapolate(zeta_new, zeta, xi_hat))
+        y_tilde, xi_tilde = project_epigraph_max_rows(np.divide(y_hat, sigma, out=y_scaled), r,
+                                                      np.divide(xi_hat, sigma, out=xi_scaled))
         y_new, xi_new = _moreau(y_hat, sigma, y_tilde), _moreau(xi_hat, sigma, xi_tilde)
         dual_rel = _dual_change([(y_new, y), (xi_new, xi), (zeta_new, zeta)])
         zeta, y, xi = zeta_new, y_new, xi_new

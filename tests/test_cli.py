@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -1028,3 +1029,105 @@ def test_fuzzed_svmlight_ends_in_a_result_or_one_error_line(content):
     else:
         # a file that happens to be valid trains; 3 iterations do not converge
         assert code in (0, 2) and err == "", err
+
+
+# ---------------------------------------------------------------------------
+# the standardize-stats reader, and fuzzing it through `eval`
+
+@pytest.fixture(scope="module")
+def standardized_model(synthetic_files, tmp_path_factory):
+    """The model and stats texts of a `--standardize` train, and the data
+    to evaluate them on."""
+    train_p, _ = synthetic_files
+    model = tmp_path_factory.mktemp("standardized") / "m.model"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["train", "--data", train_p, "--solver", "fbpd-reg", "--alpha", "1",
+              "--max-iter", "50", "--standardize", "--out", str(model)])
+    return model.read_text(), pathlib.Path(str(model) + ".stats").read_text(), train_p
+
+
+def _eval_with_stats(standardized_model, stats):
+    """(exit code, stderr, warnings) of `eval` on the standardized model
+    with a stats file holding `stats`, its path in stderr read as m.model.stats."""
+    model_text, _, data = standardized_model
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "m.model")
+        with open(model, "w", encoding="utf-8") as fh:
+            fh.write(model_text)
+        with open(model + ".stats", "w", encoding="utf-8") as fh:
+            fh.write(stats)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--model", model, "--data", data])
+        return code, err.getvalue().replace(model, "m.model"), caught
+
+
+@pytest.mark.parametrize("line, value, message", [
+    (1, "nan", "mean nan of feature 2 is not finite"),
+    (1, "-inf", "mean -inf of feature 2 is not finite"),
+    (1, "abc", "mean 'abc' is not a number"),
+    (2, "0", "scale 0.0 of feature 2 is not finite and > 0"),
+    (2, "-0.0", "scale -0.0 of feature 2 is not finite and > 0"),
+    (2, "-1.5", "scale -1.5 of feature 2 is not finite and > 0"),
+    (2, "nan", "scale nan of feature 2 is not finite and > 0"),
+    (2, "inf", "scale inf of feature 2 is not finite and > 0"),
+    (2, "1e-320", "standardizing feature 2 overflows the float range"),
+])
+def test_a_bad_stats_value_is_one_error_line_naming_its_line(standardized_model, line, value,
+                                                             message):
+    lines = standardized_model[1].splitlines()
+    tokens = lines[line - 1].split()
+    tokens[1] = value
+    lines[line - 1] = " ".join(tokens)
+    code, err, caught = _eval_with_stats(standardized_model, "\n".join(lines) + "\n")
+    where = "m.model.stats" if "overflows" in message else f"m.model.stats:{line}"
+    assert (code, err) == (1, f"error: {where}: {message}\n")
+    assert caught == []
+
+
+def test_stats_of_the_wrong_shape_are_one_error_line(standardized_model):
+    means, scales = standardized_model[1].splitlines()
+    for text, message in [("", "m.model.stats:1: no means"),
+                          (f"{means}\n{scales} 1\n", "m.model.stats:2: 7 scales for 6 means"),
+                          (f"{means} 0\n{scales} 1\n",
+                           "m.model.stats: standardize stats cover 7 features, the data has 6")]:
+        assert _eval_with_stats(standardized_model, text)[:2] == (1, f"error: {message}\n")
+
+
+STATS_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "-2.5", "1e-320", "1e-300", "1e300", "-1e308", "nan", "inf",
+                     "-inf", "1e999", "", "x", "0x10", "1_0", "9" * 30]),
+    st.text(st.sampled_from(list("0123456789.-+eEnaif_ \t")), max_size=6))
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert", "drop line",
+                                                 "append line"]),
+                                st.integers(0, 3), st.integers(0, 7), STATS_VALUE),
+                      min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_stats_end_in_a_result_or_one_error_line(standardized_model, edits):
+    lines = [line.split() for line in standardized_model[1].splitlines()]
+    for op, row, col, value in edits:
+        if op == "append line":
+            lines.append([value])
+        elif not lines:
+            continue
+        elif op == "drop line":
+            del lines[row % len(lines)]
+        else:
+            tokens = lines[row % len(lines)]
+            at = col % (len(tokens) + 1)
+            if op == "insert" or at == len(tokens):
+                tokens.insert(at, value)
+            elif op == "replace":
+                tokens[at] = value
+            else:
+                del tokens[at]
+    code, err, _ = _eval_with_stats(
+        standardized_model, "".join(" ".join(tokens) + "\n" for tokens in lines))
+    if code == 1:
+        assert err.startswith("error: m.model.stats") and err.count("\n") == 1, err
+    else:
+        assert code == 0 and err == "", err

@@ -265,6 +265,25 @@ def test_lanczos_runs_on_the_smaller_gram(monkeypatch, norm, L, M, K, side):
     assert est.converged and est.value == pytest.approx(1.01 * truth, rel=1e-8, abs=0.0)
 
 
+@pytest.mark.parametrize("K, M, L, exact", [
+    (10, 15, 40, True),       # the tiny shape, criterion 8's
+    (3, 7129, 38, True),      # the leukemia shape, perfbench's
+    (10, 39, 40, True),       # side 400, the side up to which the Gram is exact
+    (3, 7129, 140, True),     # side 420: exact in 10 ms, Lanczos in 88
+    (3, 7129, 300, True),     # side 900: exact in 71 ms, Lanczos in 196
+    (3, 7129, 500, False),    # side 1500: Lanczos in 220 ms, exact in 344
+    (10, 2000, 100, False),   # side 1000: Lanczos in 31 ms, exact in 95
+    (20, 40, 45, False),      # side 820 over few entries
+    (20, 2000, 2000, False),  # the wide shape
+])
+def test_the_norm_rule_weighs_the_gram_against_the_lanczos_products(K, M, L, exact):
+    # Grams that stand in for the real ones: the exact branch reads 0
+    # products, the Lanczos branch stops after its first on a zero map
+    est = linop._norm((L, K), (K, M + 1), lambda: np.eye(2), lambda: np.eye(2),
+                      lambda v: np.zeros(1), lambda w: np.zeros(1), (L * M + L) * K)
+    assert est.iterations == (0 if exact else 1)
+
+
 def test_lanczos_restarts_are_seeded():
     # T of rank one: ARPACK draws fresh vectors for its restarts, and from a
     # fixed seed, so every call counts the same products

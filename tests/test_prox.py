@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -239,6 +241,142 @@ class TestEpigraph:
             (p,), (t,) = project_epigraph_max_rows(Y[i], R[i], zetas[i])
             np.testing.assert_array_equal(P[i], p)
             assert thetas[i] == t
+
+
+# ---------------------------------------------------------------------------
+# the threshold kernel of both projections, bit for bit against plain code
+
+def _last_crossings(s, thetas):
+    """Each row's last j with s_j > thetas_j, or -1, by a loop over rows."""
+    last = np.full(s.shape[0], -1)
+    for i in range(s.shape[0]):
+        crossing = np.flatnonzero(s[i] > thetas[i])
+        if crossing.size:
+            last[i] = crossing[-1]
+    return last
+
+
+def _plain_simplex(U, radius):
+    L, K = U.shape
+    s = np.sort(U, axis=1)[:, ::-1]
+    thetas = (np.cumsum(s, axis=1) - radius) / np.arange(1, K + 1)
+    last = _last_crossings(s, thetas)
+    theta = thetas[np.arange(L), np.where(last >= 0, last, K - 1)]
+    return np.maximum(U - theta[:, None], 0.0)
+
+
+def _plain_epigraph(Y, R, heights):
+    """The projection and its heights; a row inside the epigraph, or
+    without a crossing, keeps its height."""
+    L, K = Y.shape
+    s = np.sort(Y + R, axis=1)[:, ::-1]
+    thetas = (np.cumsum(s, axis=1) + heights[:, None]) / np.arange(2, K + 2)
+    last = _last_crossings(s, thetas)
+    inside = s[:, 0] <= heights
+    crossed = (last >= 0) & ~inside
+    theta = heights.copy()
+    theta[crossed] = thetas[crossed, last[crossed]]
+    P = np.where(inside[:, None], Y, np.minimum(Y, theta[:, None] - R))
+    return P, theta
+
+
+# ties, signed zeros and subnormals next to ordinary values
+ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, -5e-324]),
+                  st.floats(-10, 10))
+NORMAL_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+                         st.floats(-10, 10, allow_subnormal=False))
+
+
+@st.composite
+def epigraph_rows(draw, entry=ENTRY):
+    """(Y, R, heights, adjacent) with L up to 6 rows of K = 1 to 10
+    entries. Each height is drawn, or set to its row's maximum of y + r
+    (inside), or to the float below that maximum (`adjacent`), where a row
+    often has no crossing."""
+    L, K = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    Y = draw(hnp.arrays(np.float64, (L, K), elements=entry))
+    R = draw(hnp.arrays(np.float64, (L, K), elements=st.sampled_from([0.0, 0.5, 1.0])))
+    top = (Y + R).max(axis=1)
+    kinds = draw(st.lists(st.sampled_from(["drawn", "inside", "adjacent"]), min_size=L, max_size=L))
+    heights = np.array([draw(entry) if kind == "drawn" else t if kind == "inside"
+                        else np.nextafter(t, -np.inf) for kind, t in zip(kinds, top)])
+    return Y, R, heights, np.array(kinds) == "adjacent"
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(epigraph_rows())
+@example((np.array([[1.0, -100.0, -100.0]]), np.zeros((1, 3)),
+          np.array([np.nextafter(1.0, 0.0)]), np.array([True])))  # no crossing
+@example((np.array([[0.0, -0.0], [-0.0, 5e-324]]), np.zeros((2, 2)),
+          np.array([-0.0, 0.0]), np.array([False, False])))
+@settings(max_examples=500, deadline=None)
+def test_epigraph_keeps_the_bits_of_plain_code(rows):
+    Y, R, heights, _ = rows
+    P, theta = project_epigraph_max_rows(Y, R, heights)
+    want_P, want_theta = _plain_epigraph(Y, R, heights)
+    assert _same_bits(P, want_P) and _same_bits(theta, want_theta)
+
+
+@given(epigraph_rows(NORMAL_ENTRY))
+@settings(max_examples=500, deadline=None)
+def test_epigraph_matches_the_iteration_reference(rows):
+    # the iteration tests' reference picks the crossing by its interval
+    # test, which rounds alike but for a height within rounding of the
+    # row's maximum: there the exact threshold lies within an ulp of both,
+    # and the two tests may pick neighbouring floats (or crossings), as
+    # they may where the means of subnormals round to a few values
+    from test_iteration import _ref_epigraph
+
+    Y, R, heights, adjacent = rows
+    P, theta = project_epigraph_max_rows(Y, R, heights)
+    ref_P, ref_theta = _ref_epigraph(Y, R, heights)
+    keep = ~adjacent
+    assert _same_bits(P[keep], ref_P[keep]) and _same_bits(theta[keep], ref_theta[keep])
+    ulps = 2 * np.spacing(np.abs(heights))
+    assert np.all(np.abs(theta - ref_theta)[adjacent] <= ulps[adjacent])
+
+
+@given(st.integers(1, 6).flatmap(lambda L: st.integers(1, 10).flatmap(
+    lambda K: hnp.arrays(np.float64, (L, K), elements=ENTRY))),
+       st.sampled_from([1e-3, 0.5, 1.0, 3.0]))
+@settings(max_examples=500, deadline=None)
+def test_simplex_keeps_the_bits_of_plain_code(U, radius):
+    assert _same_bits(project_simplex_rows(U, radius), _plain_simplex(U, radius))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["Y", "heights"])
+def test_epigraph_rejects_any_non_finite_entry_without_a_warning(rng, bad, where):
+    L, K = 4, 3
+    for i in range(L * K if where == "Y" else L):
+        Y, R, heights = rng.standard_normal((L, K)), rng.uniform(0, 1, (L, K)), rng.standard_normal(L)
+        (Y if where == "Y" else heights).reshape(-1)[i] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs finite inputs"):
+                project_epigraph_max_rows(Y, R, heights)
+
+
+@pytest.mark.parametrize("y, height", [([np.inf, -np.inf, 0.0], 0.0),
+                                       ([np.inf, 1.0, 0.0], -np.inf),
+                                       ([np.nan, np.inf, -np.inf], np.inf)])
+def test_epigraph_rejects_opposite_infinities_without_a_warning(y, height):
+    # their sum is a nan, made quietly before the entries are tested
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs finite inputs"):
+            project_epigraph_max_rows(np.array([y]), np.zeros((1, 3)), np.array([height]))
+
+
+def test_epigraph_projects_a_finite_row_whose_sums_overflow():
+    Y = np.full((2, 3), 1e308)
+    heights = np.array([0.0, 1e308])
+    with np.errstate(over="ignore"):
+        P, theta = project_epigraph_max_rows(Y, np.zeros((2, 3)), heights)
+    assert P.shape == (2, 3) and theta.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
