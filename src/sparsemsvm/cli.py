@@ -189,13 +189,16 @@ def cmd_eval(args):
         stats = load_standardize_stats(stats_path)
     except FileNotFoundError:
         stats = None
-    if stats is not None:
-        try:
-            dataset = datamod.apply_standardize(dataset, stats)
-        except ValueError as exc:
-            raise DataFormatError(f"{stats_path}: {exc}") from None
     spec = pm.regularizer_spec()
-    ev = evaluate_model(pm.model, dataset, spec, lam=pm.lam, threshold=args.threshold)
+    try:
+        if stats is not None:
+            dataset = datamod.apply_standardize(dataset, stats)
+        ev = evaluate_model(pm.model, dataset, spec, lam=pm.lam, threshold=args.threshold)
+    except ValueError as exc:
+        if stats is None:
+            raise
+        # the stats set the scale of the data the model is scored on
+        raise DataFormatError(f"{stats_path}: {exc}") from None
     nz = "+".join(str(int(c)) for c in ev.nonzeros_per_class)
     groups = "" if ev.nonzero_groups is None else str(ev.nonzero_groups)
     if args.emit == "csv":

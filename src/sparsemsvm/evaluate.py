@@ -73,13 +73,18 @@ def hinge_sum(x: ModelVector | np.ndarray, dataset: Dataset):
     """Sum over samples of the multiclass hinge max_k((T_l x)^(k) + r_l^(k)).
 
     `x` is a ModelVector or a raw (K, M+1) augmented array, the solvers'
-    form.
+    form. Raises ValueError when the scores, or their sum, overflow.
     """
     x_aug = x.augmented() if isinstance(x, ModelVector) else np.asarray(x)
     if x_aug.shape != (dataset.n_classes, dataset.n_features + 1):
         raise ValueError("model and dataset dimensions do not agree")
     r = make_margin_offsets(dataset)
-    return float((_apply_T_aug(x_aug, dataset) + r).max(axis=1).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = _apply_T_aug(x_aug, dataset) + r
+        total = float(margins.max(axis=1).sum())
+    if not (np.isfinite(total) and np.isfinite(margins).all()):
+        raise ValueError("the hinge sum is not finite: the model's scores on this data overflow")
+    return total
 
 
 def objective_value(x: ModelVector | np.ndarray, dataset: Dataset,
@@ -101,9 +106,10 @@ def evaluate_model(model: ModelVector, dataset: Dataset, spec: RegularizerSpec,
                    lam: float | None = None,
                    threshold: float = NONZERO_THRESHOLD) -> EvalReport:
     """Classification errors plus sparsity and objective diagnostics."""
+    # first: it raises on scores that overflow, before predict meets them
+    obj = objective_value(model, dataset, spec, lam=lam)
     pred = predict(model, dataset.features)
     errors = int(np.sum(pred != dataset.labels + 1))
-    obj = objective_value(model, dataset, spec, lam=lam)
     groups = None
     if spec.needs_blocks:
         groups = count_nonzero_groups(model, spec, threshold)

@@ -251,3 +251,23 @@ def regularizer_value(x: ModelVector | np.ndarray, spec: RegularizerSpec) -> flo
         else:
             total += np.abs(rows).max(axis=1).sum()
     return float(total)
+
+
+def dual_norm(v, spec: RegularizerSpec):
+    """Each unit's dual norm of the (K, M) array v; a unit is what the prox
+    zeroes as a whole. l1: l_inf over a column. l12, l1inf: the l2 or l1
+    norm over a group, the largest over the classes for per-class groups,
+    groups in `blocks.layout` order. prox(step * g) at x - step * v is zero
+    on a unit where x is zero and this is at most 1. l2sq: ValueError."""
+    if spec.kind == "l1":
+        return np.abs(v).max(axis=0)
+    if not spec.needs_blocks:
+        raise ValueError(f"regularizer {spec.kind!r} has no unit dual norm")
+    norms = []
+    for rows in _group_rows(v, spec.blocks):
+        n = (np.sqrt(np.einsum("ij,ij->i", rows, rows)) if spec.kind == "l12"
+             else np.einsum("ij->i", np.abs(rows)))
+        if spec.blocks.mode == "per-class":
+            n = n.reshape(v.shape[0], -1).max(axis=0)
+        norms.append(n)
+    return np.concatenate(norms)

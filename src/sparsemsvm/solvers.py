@@ -14,9 +14,8 @@ from .evaluate import objective_value
 from .linop import (_apply_T_adjoint_aug, _apply_T_aug, _effective_dual, _scores_aug,
                     features_aug_norm, operator_norm)
 from .model import Dataset, ModelVector, RegularizerSpec, issparse, make_margin_offsets
-from .prox import (project_epigraph_max_rows, project_halfspace_sum,
-                   project_simplex_rows, prox_regularizer_aug,
-                   regularizer_value)
+from .prox import (dual_norm, project_epigraph_max_rows, project_halfspace_sum,
+                   project_simplex_rows, prox_regularizer_aug, regularizer_value)
 
 OBJECTIVE_CAP = 1e12
 
@@ -226,10 +225,9 @@ def _moreau(v_hat, sigma, p):
     return np.subtract(v_hat, p, out=p)
 
 
-# Screening. A unit is what the prox zeroes as a whole: a weight column for
-# l1, a group's columns for l12 and l1inf. Its weights stay zero while the
-# dual norm of its part of T^T y (l_inf, l2 and l1 for the three penalties,
-# the largest over the classes for per-class groups) stays below 1.
+# Screening. A unit is what the prox zeroes as a whole (a column for l1, a
+# group for l12 and l1inf). Its weights stay zero while `dual_norm` of its
+# part of T^T y stays below 1.
 
 # A plan keeps the SCREEN_SHARE of the units with the least slack, or twice
 # the units the iterate holds when that is more. Measured with one BLAS
@@ -273,12 +271,12 @@ class _Screen:
     columns that can move; `sizes` is `_iterate`'s, None for a full step.
 
     A refresh is the full step. Its T^T y also gives each unit u the slack
-    (1 - SCREEN_MARGIN - D_u) / Lip_u: D_u is the unit's dual norm, and
+    (1 - SCREEN_MARGIN - D_u) / Lip_u: D_u is the unit's `dual_norm`, and
     Lip_u bounds how fast that grows with e = max_k ||E(y - y_ref)_{:,k}||,
     E being the map `_effective_dual` through which T^T reads y, and y_ref
     the dual of the refresh. By Cauchy-Schwarz over each feature column, Lip_u is
-    the sum of the unit's column norms for l1 and l1inf, their l2 norm for
-    l12, times K or sqrt(K) for cross-class groups. A plan picks a bound
+    the unit's `dual_norm` of the column norms (their sum, or their l2 norm
+    for l12), times K or sqrt(K) for cross-class groups. A plan picks a bound
     delta on e (see SCREEN_SHARE) and the columns C of every unit with
     slack at most delta or a nonzero in the new iterate. While e < delta
     every other unit stays an exact zero, so each step runs the three
@@ -312,59 +310,30 @@ class _Screen:
         self.screens = spec.kind != "l2sq"
         if not self.screens:
             return
-        norms = _column_norms(dataset.features)
-        self.grouped = spec.needs_blocks
-        if self.grouped:
-            layout = spec.blocks.layout
-            self.perm, self.sizes = layout.perm, layout.sizes()
-            self.starts = np.cumsum(self.sizes) - self.sizes
-            cross = spec.blocks.mode == "cross-class"
-            if spec.kind == "l12":
-                lip = np.sqrt(self._unit_sums(norms * norms)) * (np.sqrt(K) if cross else 1.0)
-            else:
-                lip = self._unit_sums(norms) * (K if cross else 1)
-        else:
-            lip = norms
+        lip = dual_norm(_column_norms(dataset.features)[None, :], spec)
+        if spec.needs_blocks and spec.blocks.mode == "cross-class":
+            lip *= K if spec.kind == "l1inf" else np.sqrt(K)
         self.inv_lip = np.divide(1.0, lip, out=np.full(lip.shape, np.inf), where=lip > 0)
-
-    def _unit_sums(self, a):
-        """Sums of `a` (M,) or (K, M) over each group's columns, in the
-        groups' layout order."""
-        if self.perm is not None:
-            a = np.take(a, self.perm, axis=-1)
-        return np.add.reduceat(a, self.starts, axis=-1)
 
     def slack(self, v):
         """Each unit's slack at the adjoint's output v = T^T y_ref."""
-        G = v[:, :-1]
-        if not self.grouped:
-            dual = np.abs(G).max(axis=0)
-        else:
-            cross = self.spec.blocks.mode == "cross-class"
-            sums = self._unit_sums(np.abs(G) if self.spec.kind == "l1inf" else G * G)
-            dual = sums.sum(axis=0) if cross else sums.max(axis=0)
-            if self.spec.kind == "l12":
-                dual = np.sqrt(dual)
-        return (1.0 - SCREEN_MARGIN - dual) * self.inv_lip
-
-    def _active(self, x_new):
-        """Which units hold a nonzero of x_new."""
-        nonzero = x_new[:, :-1].any(axis=0)
-        return self._unit_sums(nonzero) > 0 if self.grouped else nonzero
+        return (1.0 - SCREEN_MARGIN - dual_norm(v[:, :-1], self.spec)) * self.inv_lip
 
     def _plan(self, slack, x_new, y_ref):
         """The screened step's data after the refresh at y_ref, or None
         when it cannot screen."""
-        active = self._active(x_new)
+        # on the 0/1 mask: a tiny weight's square can underflow to 0
+        active = dual_norm(x_new[:, :-1].any(axis=0, keepdims=True), self.spec) > 0
         rank = max(int(SCREEN_SHARE * slack.size), 2 * int(np.count_nonzero(active)))
         if rank >= slack.size:
             return None
         delta = max(float(np.partition(slack, rank)[rank]), 0.0)
         keep = (slack <= delta) | active
-        n_cols = self.sizes[keep].sum() if self.grouped else np.count_nonzero(keep)
+        grouped = self.spec.needs_blocks
+        n_cols = self.spec.blocks.layout.sizes()[keep].sum() if grouped else np.count_nonzero(keep)
         if delta == 0.0 or n_cols > self.max_cols:
             return None
-        if self.grouped:
+        if grouped:
             cols, blocks = self.spec.blocks.restrict(keep)
             spec = RegularizerSpec(self.spec.kind, blocks)
         else:

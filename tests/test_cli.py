@@ -1096,6 +1096,33 @@ def test_stats_of_the_wrong_shape_are_one_error_line(standardized_model):
         assert _eval_with_stats(standardized_model, text)[:2] == (1, f"error: {message}\n")
 
 
+OVERFLOW = "the hinge sum is not finite: the model's scores on this data overflow"
+
+
+def test_stats_whose_scores_overflow_are_one_error_line(standardized_model):
+    lines = standardized_model[1].splitlines()
+    means = lines[0].split()
+    means[1] = "1e308"
+    lines[0] = " ".join(means)
+    code, err, caught = _eval_with_stats(standardized_model, "\n".join(lines) + "\n")
+    assert (code, err) == (1, f"error: m.model.stats: {OVERFLOW}\n")
+    assert caught == []
+
+
+def test_huge_weights_whose_scores_overflow_are_one_error_line(tmp_path, capsys):
+    data = make_synthetic(3, 6, 30, seed=0)
+    save_dense_csv(tmp_path / "big.csv", Dataset(data.dense_features() * 1e9, data.labels,
+                                                 data.n_classes, data.margins))
+    model = tmp_path / "m.model"
+    save_model(model, PersistedModel(model=ModelVector(np.full((3, 6), 1e300), np.zeros(3)),
+                                     reg_kind="l1", solver="fbpd-reg", alpha=1.0, lam=1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--model", str(model), "--data", str(tmp_path / "big.csv")])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {OVERFLOW}\n"))
+    assert caught == []
+
+
 STATS_VALUE = st.one_of(
     st.sampled_from(["0", "1", "-2.5", "1e-320", "1e-300", "1e300", "-1e308", "nan", "inf",
                      "-inf", "1e999", "", "x", "0x10", "1_0", "9" * 30]),

@@ -9,9 +9,10 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from sparsemsvm.evaluate import count_nonzero_groups
 from sparsemsvm.model import BlockStructure, ModelVector, RegularizerSpec
-from sparsemsvm.prox import (project_epigraph_max_rows, project_halfspace_sum,
+from sparsemsvm.prox import (dual_norm, project_epigraph_max_rows, project_halfspace_sum,
                              project_l1_ball_rows, project_simplex_rows,
                              prox_regularizer_aug, regularizer_value)
+from test_screen import SCREENED, _shuffled_groups, _unit_columns
 
 finite_vec = lambda n_max: hnp.arrays(
     np.float64, st.integers(1, n_max),
@@ -585,3 +586,64 @@ class TestRegularizerProx:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             prox_regularizer_aug(np.array([[1.0, 0.0]]), RegularizerSpec("l1"), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the dual norm of each unit
+
+def _reference_dual_norm(V, spec):
+    """dual_norm one unit at a time: the columns for l1, the groups at
+    their places in `blocks.layout` otherwise."""
+    if spec.kind == "l1":
+        return np.array([np.max(np.abs(V[:, j])) for j in range(V.shape[1])])
+    perm, _ = spec.blocks.layout
+    perm = np.arange(V.shape[1]) if perm is None else perm
+    out, lo = [], 0
+    for size in spec.blocks.layout.sizes():
+        G, lo = V[:, perm[lo:lo + size]], lo + size
+        if spec.blocks.mode == "cross-class":
+            G = G.reshape(1, -1)
+        rows = np.sqrt(np.sum(G * G, axis=1)) if spec.kind == "l12" else np.sum(np.abs(G), axis=1)
+        out.append(np.max(rows))
+    return np.array(out)
+
+
+def _dual_norm_cases(rng):
+    """(spec, V) over the screened kinds and modes, K = 1..5, contiguous
+    and shuffled mixed-size groups."""
+    for kind, mode in SCREENED:
+        for K in range(1, 6):
+            for contiguous in (True, False):
+                M = int(rng.integers(2, 40))
+                blocks = None
+                if mode is not None:
+                    blocks = (BlockStructure.contiguous(M, int(rng.integers(1, 6)), mode=mode)
+                              if contiguous else _shuffled_groups(rng, M, mode))
+                yield RegularizerSpec(kind, blocks), rng.standard_normal((K, M))
+
+
+def test_dual_norm_matches_a_unit_by_unit_reference(rng):
+    for _ in range(5):
+        for spec, V in _dual_norm_cases(rng):
+            np.testing.assert_allclose(dual_norm(V, spec), _reference_dual_norm(V, spec),
+                                       rtol=1e-14, atol=0, err_msg=str(spec))
+
+
+def test_the_prox_zeroes_a_unit_exactly_when_its_dual_norm_is_below_one(rng):
+    for _ in range(5):
+        for spec, V in _dual_norm_cases(rng):
+            norms = dual_norm(V, spec)
+            V /= np.median(norms)  # dual norms on both sides of 1
+            norms = dual_norm(V, spec)
+            tau = rng.uniform(0.1, 3.0)
+            x = np.hstack([tau * V, np.ones((V.shape[0], 1))])
+            out = prox_regularizer_aug(x, spec, tau)[:, :-1]
+            below, above = norms < 1 - 1e-9, norms > 1 + 1e-9
+            assert np.all(out[:, _unit_columns(spec, below)] == 0.0), spec
+            for u in np.flatnonzero(above):
+                assert np.any(out[:, _unit_columns(spec, np.arange(norms.size) == u)]), spec
+
+
+def test_dual_norm_of_l2sq_is_an_error():
+    with pytest.raises(ValueError, match="l2sq"):
+        dual_norm(np.ones((2, 3)), RegularizerSpec("l2sq"))

@@ -11,9 +11,10 @@ from sparsemsvm.model import (BlockStructure, Dataset, ModelVector,
                               RegularizerSpec, make_margin_offsets)
 from sparsemsvm.prox import regularizer_value
 from sparsemsvm.solvers import (DivergenceError, SOLVERS, SolverConfig, _fista,
-                                _logistic_loss_grad, _square_loss_grad,
+                                _logistic_loss_grad, _Screen, _square_loss_grad,
                                 solve_constrained_fbpd, solve_one_vs_all,
                                 solve_regularized_fbpd)
+from test_screen import SCREENED, _shuffled_groups, _unit_columns
 
 TIGHT = dict(max_iter=400000, rel_tol=1e-11)
 
@@ -340,3 +341,53 @@ def test_hinge_sum_nonnegative_across_solvers(rng):
         rep = SOLVERS[name](ds, RegularizerSpec("l1"), cfg)
         assert rep.hinge_sum >= 0.0
         assert rep.hinge_sum == pytest.approx(hinge_sum(rep.model, ds), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the screen's unit reductions
+
+def _screen_case(rng, kind, mode, K, M, contiguous):
+    X = rng.standard_normal((12, M))
+    ds = Dataset.from_arrays(X, np.arange(12) % K, n_classes=K)
+    blocks = None
+    if mode is not None:
+        blocks = (BlockStructure.contiguous(M, 3, mode=mode) if contiguous
+                  else _shuffled_groups(rng, M, mode))
+    return ds, RegularizerSpec(kind, blocks)
+
+
+@pytest.mark.parametrize("kind, mode", SCREENED)
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_the_screen_bounds_each_unit_by_its_column_norms(rng, kind, mode, contiguous):
+    for K in range(2, 6):
+        ds, spec = _screen_case(rng, kind, mode, K, 31, contiguous)
+        norms = np.linalg.norm(ds.dense_features(), axis=0)
+        screen = _Screen(ds, spec, 1.0, 1.0)
+        cross = mode == "cross-class"
+        want = []
+        for u in range(screen.inv_lip.size):
+            n = norms[_unit_columns(spec, np.arange(screen.inv_lip.size) == u)]
+            if kind == "l12":
+                want.append(np.sqrt(np.sum(n * n)) * (np.sqrt(K) if cross else 1.0))
+            else:
+                want.append(np.sum(n) * (K if cross else 1))
+        np.testing.assert_allclose(1.0 / screen.inv_lip, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kind, mode", SCREENED)
+def test_a_plan_keeps_a_unit_whose_only_weight_is_tiny(rng, kind, mode):
+    # the square of 1e-170 underflows to 0, so an l12 norm of the weights
+    # would miss the unit; the plan reads which columns hold a nonzero
+    K, M = 3, 300
+    ds, spec = _screen_case(rng, kind, mode, K, M, contiguous=False)
+    screen = _Screen(ds, spec, 1.0, 1.0)
+    y = rng.standard_normal((ds.n_samples, K))
+    v = _apply_T_adjoint_aug(y, ds)
+    slack = screen.slack(v / (2 * np.abs(v).max() * M))  # every unit far below 1
+    u = int(np.argmax(slack))  # the last unit a plan would keep for its slack
+    col = _unit_columns(spec, np.arange(slack.size) == u)[-1]
+    x_new = np.zeros((K, M + 1))
+    x_new[K - 1, col] = 1e-170
+    plan = screen._plan(slack, x_new, y)
+    assert plan is not None
+    assert col in plan.flat % (M + 1)
