@@ -94,9 +94,13 @@ def objective_value(x: ModelVector | np.ndarray, dataset: Dataset,
     share it.
 
     With `lam` set (regularized mode) the total is g + lam * hinge_sum;
-    in constrained mode (lam None) the total is the g value alone.
+    in constrained mode (lam None) the total is the g value alone. Raises
+    ValueError when g of finite weights overflows, or the hinge sum does.
     """
-    g = regularizer_value(x, spec)
+    with np.errstate(over="ignore"):
+        g = regularizer_value(x, spec)
+    if not np.isfinite(g):
+        raise ValueError("the regularizer value is not finite: the model's weights overflow it")
     h = hinge_sum(x, dataset)
     total = g + lam * h if lam is not None else g
     return ObjectiveValues(g, h, total)

@@ -48,15 +48,15 @@ class NormEstimate(NamedTuple):
 ACTIVE_COLUMNS_MAX_SHARE = 0.1
 
 
-def _scores_aug(x_aug, dataset):
+def _scores_aug(x_aug, dataset, *, gather=True):
     """Per-class scores phi~(u_l)^T x^(k) for every sample, shape (L, K).
 
     Dense features skip the weight columns that are all zero, the sparse
-    iterates' common case, when at most ACTIVE_COLUMNS_MAX_SHARE of them
-    hold a nonzero; otherwise they take the product as (W @ features^T)^T,
-    the faster GEMM orientation for a few class rows. Either result is
-    C-ordered like the CSR product, so row reductions downstream sum in
-    one order.
+    iterates' common case, when `gather` is set and at most
+    ACTIVE_COLUMNS_MAX_SHARE of them hold a nonzero; otherwise they take
+    the product as (W @ features^T)^T, the faster GEMM orientation for a
+    few class rows. Either result is C-ordered like the CSR product, so
+    row reductions downstream sum in one order.
     """
     W = x_aug[:, :-1]
     b = x_aug[:, -1]
@@ -68,18 +68,19 @@ def _scores_aug(x_aug, dataset):
     # columns in use: that settles a dense iterate in about 1.5 us, without
     # the scan of all M, 14 us against a 95-115 us full GEMM at K=3,
     # M=7129, L=38 with one BLAS thread
-    if np.count_nonzero(W[0, :cap + 1]) <= cap:
+    if gather and np.count_nonzero(W[0, :cap + 1]) <= cap:
         active = np.flatnonzero(W.any(axis=0))
         if active.size <= cap:
             return np.take(feats, active, axis=1) @ W[:, active].T + b
     return np.add((W @ feats.T).T, b, order="C")
 
 
-def _apply_T_aug(x_aug, dataset):
+def _apply_T_aug(x_aug, dataset, *, gather=True):
     """Margins y(l, k) = phi~(u_l)^T (x^(k) - x^(z_l)) of the (K, M+1)
     augmented array x_aug, as an (L, K) array whose column z_l of row l is
-    exactly zero."""
-    scores = _scores_aug(x_aug, dataset)
+    exactly zero. `gather=False` takes the full product at once, for a
+    caller whose columns are mostly in use (see `_scores_aug`)."""
+    scores = _scores_aug(x_aug, dataset, gather=gather)
     own = scores.take(dataset.own_index)
     # own-class column is an exact 0: identical floats subtracted
     return scores - own[:, None]
@@ -87,15 +88,14 @@ def _apply_T_aug(x_aug, dataset):
 
 def _effective_dual(y, dataset, out=None):
     """y_eff(l, k) = y(l, k) - delta_{k=z_l} sum_j y(l, j), the weights of the
-    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array or in the
-    C-ordered `out`."""
+    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array or in
+    `out`."""
     if out is None:
-        y_eff = y.copy()
+        out = y.copy()
     else:
-        y_eff = out
-        np.copyto(y_eff, y)
-    y_eff.reshape(-1)[dataset.own_index] -= y.sum(axis=1)
-    return y_eff
+        np.copyto(out, y)
+    return np.subtract(y, np.add.reduce(y, axis=1, keepdims=True), out=out,
+                       where=dataset.own_mask)
 
 
 def _apply_T_adjoint_aug(y, dataset, y_eff=None):
@@ -111,7 +111,7 @@ def _apply_T_adjoint_aug(y, dataset, y_eff=None):
         out[:, :-1] = y_eff.T @ dataset.features
     else:
         np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
-    out[:, -1] = y_eff.sum(axis=0)
+    out[:, -1] = np.add.reduce(y_eff, axis=0)
     return out
 
 

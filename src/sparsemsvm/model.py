@@ -169,6 +169,15 @@ class Dataset:
         own.setflags(write=False)
         return own
 
+    @cached_property
+    def own_mask(self) -> np.ndarray:
+        """The (L, K) boolean mask of each sample's own class, read-only;
+        built on first use and kept on the instance."""
+        mask = np.zeros((self.n_samples, self.n_classes), dtype=bool)
+        mask.reshape(-1)[self.own_index] = True
+        mask.setflags(write=False)
+        return mask
+
     def dense_features(self):
         if issparse(self.features):
             return np.asarray(self.features.todense())

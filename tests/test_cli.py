@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import pathlib
@@ -1120,6 +1121,31 @@ def test_huge_weights_whose_scores_overflow_are_one_error_line(tmp_path, capsys)
         warnings.simplefilter("always")
         code = main(["eval", "--model", str(model), "--data", str(tmp_path / "big.csv")])
     assert (code, capsys.readouterr()) == (1, ("", f"error: {OVERFLOW}\n"))
+    assert caught == []
+
+
+@pytest.mark.parametrize("kind, block_size, big", [("l2sq", None, [1e200]),
+                                                   ("l12", 2, [1e200]),
+                                                   ("l1", None, [1e308, 1e308])])
+def test_weights_whose_penalty_overflows_are_one_error_line(tmp_path, capsys, kind, block_size,
+                                                            big):
+    # finite weights whose g overflows (a square, or a sum): g is computed
+    # before the hinge, whose scores would overflow too
+    save_dense_csv(tmp_path / "d.csv", make_synthetic(3, 4, 30, seed=0))
+    model = str(tmp_path / "m.model")
+    assert main(["train", "--data", str(tmp_path / "d.csv"), "--solver", "fbpd-reg",
+                 "--alpha", "1", "--max-iter", "50", "--out", model]) == 2
+    pm = load_model(model)
+    weights = pm.model.weights.copy()
+    weights.flat[:len(big)] = big
+    save_model(model, dataclasses.replace(pm, model=ModelVector(weights, pm.model.offsets),
+                                          reg_kind=kind, block_size=block_size))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--model", model, "--data", str(tmp_path / "d.csv")])
+    assert (code, capsys.readouterr()) == (
+        1, ("", "error: the regularizer value is not finite: the model's weights overflow it\n"))
     assert caught == []
 
 

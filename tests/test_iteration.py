@@ -378,20 +378,44 @@ def test_a_run_does_not_stop_on_a_rounding_move_off_zero():
     assert report.hinge_sum < 2.0 and np.abs(report.model.augmented()).max() > 0.1
 
 
-@pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
-def test_kept_iterates_are_not_overwritten(solve):
-    ds = make_synthetic(3, 12, 24, separation=3.0, seed=0)
+def _assert_kept_iterates_intact(solve, ds, cfg):
+    """Every iterate the callback keeps holds, after the solve, the values
+    it had when the callback got it."""
     kept, copies = [], []
 
     def keep(it, x):
         kept.append(x)
         copies.append(x.copy())
 
-    solve(ds, RegularizerSpec("l1"), SolverConfig(lam=1.0, eta=7.0, max_iter=50, rel_tol=0.0),
-          callback=keep)
-    assert len(kept) == 50 and len({id(x) for x in kept}) == 50
+    report = solve(ds, RegularizerSpec("l1"), cfg, callback=keep)
+    n = report.iterations
+    assert len(kept) == n and len({id(x) for x in kept}) == n
     for x, snapshot in zip(kept, copies):
         np.testing.assert_array_equal(x, snapshot)
+
+
+@pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
+def test_kept_iterates_are_not_overwritten(solve):
+    ds = make_synthetic(3, 12, 24, separation=3.0, seed=0)
+    _assert_kept_iterates_intact(
+        solve, ds, SolverConfig(lam=1.0, eta=7.0, max_iter=50, rel_tol=0.0))
+
+
+@pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
+def test_kept_screened_iterates_are_not_overwritten(monkeypatch, solve):
+    # a screened step writes x_new into one of two buffers of the solve in
+    # turn, so the callback must get a copy of its own
+    ds, norm = _wide(False)
+    screened = []
+
+    def count(self, x, y, y_eff, inner=solvers._Screen._screened):
+        screened.append(None)
+        return inner(self, x, y, y_eff)
+
+    monkeypatch.setattr(solvers._Screen, "_screened", count)
+    _assert_kept_iterates_intact(
+        solve, ds, SolverConfig(lam=1.0, eta=3.0, max_iter=100, rel_tol=0.0, norm_T=norm))
+    assert len(screened) >= 60
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,12 @@ class TestDataset:
             scores = rng.standard_normal((d.n_samples, d.n_classes))
             np.testing.assert_array_equal(scores.take(own),
                                           scores[np.arange(d.n_samples), d.labels])
-        assert "own_index" not in {f.name for f in dataclasses.fields(Dataset)}
+            mask = d.own_mask
+            np.testing.assert_array_equal(np.flatnonzero(mask), own)
+            assert mask.shape == (d.n_samples, d.n_classes) and not mask.flags.writeable
+            assert d.own_mask is mask
+        fields = {f.name for f in dataclasses.fields(Dataset)}
+        assert "own_index" not in fields and "own_mask" not in fields
 
 
 @given(M=st.integers(1, 60), size=st.integers(1, 13))

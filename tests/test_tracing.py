@@ -14,6 +14,8 @@ import sys
 import pytest
 
 from conftest import load_file, tiny_dataset
+from sparsemsvm import solvers
+from sparsemsvm.data import make_synthetic
 from sparsemsvm.model import RegularizerSpec
 from sparsemsvm.solvers import SolverConfig
 
@@ -75,10 +77,14 @@ def test_tracer_finds_every_name(traced):
     assert missing == []
 
 
-@pytest.mark.parametrize("solver, layers", [
+# the layers each primal-dual solver reaches once per iteration
+LAYERS = [
     ("fbpd-reg", ["linop.T", "linop.Tadj", "prox.reg", "prox.simplex"]),
     ("fbpd-con", ["linop.T", "linop.Tadj", "prox.reg", "prox.epigraph", "prox.halfspace"]),
-])
+]
+
+
+@pytest.mark.parametrize("solver, layers", LAYERS)
 def test_each_iteration_reaches_the_traced_layers(traced, solver, layers):
     tracer, mods, _ = traced
     cfg = SolverConfig(lam=1.0, eta=1.0, max_iter=30, rel_tol=0.0)
@@ -86,3 +92,23 @@ def test_each_iteration_reaches_the_traced_layers(traced, solver, layers):
     assert report.iterations == 30
     for layer in layers:
         assert _calls_in_solve(tracer, layer) == 30, layer
+
+
+@pytest.mark.parametrize("solver, layers", LAYERS)
+def test_each_screened_iteration_reaches_the_traced_layers(traced, monkeypatch, solver, layers):
+    # at M=2000 most steps run on the screen's columns; those too must
+    # reach every layer once, through the bindings the tracer wraps
+    tracer, mods, _ = traced
+    screened = []
+
+    def count(self, x, y, y_eff, inner=solvers._Screen._screened):
+        screened.append(None)
+        return inner(self, x, y, y_eff)
+
+    monkeypatch.setattr(solvers._Screen, "_screened", count)
+    ds = make_synthetic(3, 2000, 30, separation=3.0, seed=0)
+    cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=100, rel_tol=0.0)
+    report = mods["cli"].SOLVERS[solver](ds, RegularizerSpec("l1"), cfg)
+    assert report.iterations == 100 and len(screened) >= 60
+    for layer in layers:
+        assert _calls_in_solve(tracer, layer) == 100, layer
