@@ -97,16 +97,9 @@ def project_epigraph_max_rows(Y, R, heights):
     unchanged. A non-finite entry of Y or of the heights raises
     ValueError.
     """
-    # the solvers hand (L, K) rows and (L,) heights, which need no reshaping
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2:
-        Y = np.atleast_2d(Y)
-    R = np.asarray(R, dtype=np.float64)
-    if R.ndim != 2:
-        R = np.atleast_2d(R)
-    heights = np.asarray(heights, dtype=np.float64)
-    if heights.ndim != 1:
-        heights = np.atleast_1d(heights)
+    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    R = np.atleast_2d(np.asarray(R, dtype=np.float64))
+    heights = np.atleast_1d(np.asarray(heights, dtype=np.float64))
     # the threshold search's last running means hold every entry of their
     # rows and the heights, so they are finite where the inputs are; only
     # where one is not (a finite row can overflow) do the inputs decide.
@@ -116,8 +109,7 @@ def project_epigraph_max_rows(Y, R, heights):
         s.sort(axis=1)
         s = s[:, ::-1]
         theta, total = _threshold(s, heights[:, None], 1)
-    if not (np.logical_and.reduce(np.isfinite(total))
-            or np.isfinite(Y).all() and np.isfinite(heights).all()):
+    if not (np.isfinite(total).all() or np.isfinite(Y).all() and np.isfinite(heights).all()):
         raise ValueError("epigraphical projection needs finite inputs")
     inside = s[:, 0] <= heights  # the row maximum of y + r
     np.copyto(theta, heights, where=inside)

@@ -127,12 +127,10 @@ def _iterate(step, x0, cfg, callback=None):
     """The iteration loop shared by every solver.
 
     `step(x) -> (x_new, dual_rel, obj, sizes)` advances one iteration and
-    keeps any dual or momentum state in its closure. x_new must not be x,
-    but may be a buffer of the step that it rewrites two steps later (the
-    screened primal-dual steps alternate two), so the loop keeps no
-    iterate longer than that. `dual_rel()` returns the relative change of
-    the dual state (`_no_dual_change` for the smooth solvers); the
-    stopping rule calls it only when x did not move. `obj`
+    keeps any dual or momentum state in its closure. x_new must be a fresh
+    array, since callers may keep every iterate. `dual_rel()` returns the
+    relative change of the dual state (`_no_dual_change` for the smooth
+    solvers); the stopping rule calls it only when x did not move. `obj`
     is the objective at x_new when the step computes it anyway (the FISTA
     steps), else None. `sizes` is None, or the pair (||x_new - x||,
     ||x_new||) when the step has it for less than the loop's passes over
@@ -141,11 +139,10 @@ def _iterate(step, x0, cfg, callback=None):
     sums run over fewer zeros). The loop owns the relative change, the
     divergence guard, the callback and the stopping rule; the norm of
     x_new serves the guard and, one iteration later, the relative change.
-    `callback(it, x)` gets its own copy of every iterate the guard passed,
-    which it may keep or change. The objective cap applies to the steps
-    that hand an objective: OBJECTIVE_CAP times the first one (at least
-    1), so a large `lam * loss` at the start is not mistaken for
-    divergence.
+    `callback(it, x)` sees every iterate the guard passed and must not
+    change it. The objective cap applies to the steps that hand an
+    objective: OBJECTIVE_CAP times the first one (at least 1), so a large
+    `lam * loss` at the start is not mistaken for divergence.
 
     Returns (x, iterations, converged, final relative change).
     """
@@ -164,7 +161,7 @@ def _iterate(step, x0, cfg, callback=None):
             cap = OBJECTIVE_CAP * max(1.0, abs(obj))
         _guard(x, norm_x, obj, cap)
         if callback is not None:
-            callback(it, x.copy())
+            callback(it, x)
         # a bit-exact frozen primal only counts as converged once the dual
         # is stationary too (prox can pin x while y still warms up)
         if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel() <= cfg.rel_tol):
@@ -288,26 +285,21 @@ class _Screen:
     lines on the features of C alone and scatters the result into zeros;
     the iterates are the full steps' up to rounding, which differs only
     in the sums over the columns. Such a step does no work that grows
-    with M: it starts from the compact iterate on C that the previous
-    screened step kept, E(y) serves both the test of e and T^T y, T on C
-    takes its GEMM without probing for zero columns (C holds the units in
-    use and those nearest to it), the norms of x_new and of its move come
-    from C's entries, and x_new is one of two full iterates of the solve,
-    taken in turn, which the plan's first screened step zero-fills and
-    the later ones rewrite on C alone. The first step with e >= delta is
-    a refresh again. A plan that runs no screened step, because delta is 0
-    or C would exceed SCREEN_MAX_SHARE of the columns or e is too large at
-    once, postpones the next plan by 1, 2, 4, ... full steps, back to none
-    after a plan that screens. l2sq zeroes no weight and is never screened.
+    with M but for the fresh iterate it zero-fills: it starts from the
+    compact iterate on C that the previous screened step kept, E(y) serves
+    both the test of e and T^T y, T on C takes its GEMM without probing
+    for zero columns (C holds the units in use and those nearest to it),
+    and the norms of x_new and of its move come from C's entries. The
+    first step with e >= delta is a refresh again. A plan that runs no
+    screened step, because delta is 0 or C would exceed SCREEN_MAX_SHARE
+    of the columns or e is too large at once, postpones the next plan by
+    1, 2, 4, ... full steps, back to none after a plan that screens. l2sq zeroes no weight and is never screened.
     """
 
     def __init__(self, dataset, spec, tau, sigma):
         self.dataset, self.spec, self.tau, self.sigma = dataset, spec, tau, sigma
         K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
         self.ext = np.empty((K, M + 1))
-        # the two full iterates the screened steps write in turn: the next
-        # one's and the other
-        self.full, self.full_spare = np.empty((K, M + 1)), np.empty((K, M + 1))
         # E(y) and the test's E(y) - E(y_ref), in buffers of the solve
         self.y_eff, self.e = np.empty((L, K)), np.empty((L, K))
         self.plan = None
@@ -392,9 +384,6 @@ class _Screen:
         xc = self.xc
         if xc is None:
             xc = x.take(plan.flat).reshape(plan.ext.shape)
-            # x is the refresh's fresh iterate, so neither buffer is in use
-            self.full.fill(0.0)
-            self.full_spare.fill(0.0)
         v = _apply_T_adjoint_aug(y, plan.dataset, y_eff=y_eff)
         xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau,
                                       out=self.spare)
@@ -403,10 +392,9 @@ class _Screen:
         # x and x_new are zero off C, so their norms are those of C's
         # entries (the sums np.linalg.norm takes, without its wrapper)
         d = np.subtract(xc_new, xc, out=plan.ext)
-        x_new = self.full
+        x_new = np.zeros(x.shape)
         x_new.put(plan.flat, xc_new)
         self.xc, self.spare = xc_new, xc
-        self.full, self.full_spare = self.full_spare, x_new
         return x_new, y_hat, (math.sqrt(np.vdot(d, d)), math.sqrt(np.vdot(xc_new, xc_new)))
 
 

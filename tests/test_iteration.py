@@ -388,7 +388,8 @@ def _assert_kept_iterates_intact(solve, ds, cfg):
         copies.append(x.copy())
 
     report = solve(ds, RegularizerSpec("l1"), cfg, callback=keep)
-    n = report.iterations
+    n = cfg.max_iter
+    assert report.iterations == n
     assert len(kept) == n and len({id(x) for x in kept}) == n
     for x, snapshot in zip(kept, copies):
         np.testing.assert_array_equal(x, snapshot)
@@ -403,8 +404,8 @@ def test_kept_iterates_are_not_overwritten(solve):
 
 @pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
 def test_kept_screened_iterates_are_not_overwritten(monkeypatch, solve):
-    # a screened step writes x_new into one of two buffers of the solve in
-    # turn, so the callback must get a copy of its own
+    # a screened step scatters its compact iterate into x_new, which must
+    # be a fresh array for every step
     ds, norm = _wide(False)
     screened = []
 

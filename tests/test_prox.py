@@ -321,23 +321,49 @@ def test_epigraph_keeps_the_bits_of_plain_code(rows):
     assert _same_bits(P, want_P) and _same_bits(theta, want_theta)
 
 
+def _interval_crossings(Y, R, heights):
+    """The candidate heights of `_ref_epigraph` (ascending s, one more
+    entry above the height per column) and which of them its interval
+    test accepts."""
+    L, K = Y.shape
+    nu = np.sort(Y + R, axis=1)
+    suffix = np.zeros((L, K + 1))
+    suffix[:, :K] = np.cumsum(nu[:, ::-1], axis=1)[:, ::-1]
+    thetas = (heights[:, None] + suffix) / (K - np.arange(1, K + 2) + 2.0)
+    lower = np.concatenate([np.full((L, 1), -np.inf), nu], axis=1)
+    upper = np.concatenate([nu, np.full((L, 1), np.inf)], axis=1)
+    return thetas, (lower < thetas) & (thetas <= upper)
+
+
 @given(epigraph_rows(NORMAL_ENTRY))
+# two crossings pass the interval test: the mean of all six entries rounds
+# onto the smallest of them, and the exact height takes the largest alone
+@example((np.full((1, 6), -2.67047712e-16), np.array([[1.0, 0.5, 0.5, 0.5, 0.5, 0.5]]),
+          np.array([0.0]), np.array([False])))
 @settings(max_examples=500, deadline=None)
 def test_epigraph_matches_the_iteration_reference(rows):
     # the iteration tests' reference picks the crossing by its interval
     # test, which rounds alike but for a height within rounding of the
     # row's maximum: there the exact threshold lies within an ulp of both,
     # and the two tests may pick neighbouring floats (or crossings), as
-    # they may where the means of subnormals round to a few values
+    # they may where the means of subnormals round to a few values. Where
+    # rounding lets the interval test accept more than one crossing, the
+    # reference takes the first, and the projection must take one of them
     from test_iteration import _ref_epigraph
 
     Y, R, heights, adjacent = rows
     P, theta = project_epigraph_max_rows(Y, R, heights)
     ref_P, ref_theta = _ref_epigraph(Y, R, heights)
-    keep = ~adjacent
+    thetas, accepted = _interval_crossings(Y, R, heights)
+    inside = (Y + R).max(axis=1) <= heights
+    several = (accepted.sum(axis=1) > 1) & ~inside & ~adjacent
+    keep = ~adjacent & ~several
     assert _same_bits(P[keep], ref_P[keep]) and _same_bits(theta[keep], ref_theta[keep])
     ulps = 2 * np.spacing(np.abs(heights))
     assert np.all(np.abs(theta - ref_theta)[adjacent] <= ulps[adjacent])
+    for i in np.flatnonzero(several):
+        assert theta[i] in thetas[i, accepted[i]]
+        assert _same_bits(P[i], np.minimum(Y[i], theta[i] - R[i]))
 
 
 @given(st.integers(1, 6).flatmap(lambda L: st.integers(1, 10).flatmap(
