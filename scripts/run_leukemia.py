@@ -20,7 +20,7 @@ from sparsemsvm import cli
 from sparsemsvm.data import load_dense_csv
 from sparsemsvm.evaluate import count_nonzeros, evaluate_model
 from sparsemsvm.model import BlockStructure, RegularizerSpec
-from sparsemsvm.solvers import SOLVERS, SolverConfig
+from sparsemsvm.solvers import SOLVERS, DivergenceError, SolverConfig
 from sparsemsvm.linop import operator_norm
 
 SOLVER_IDS = {"hinge": "fbpd-reg", "hinge-con": "fbpd-con",
@@ -32,13 +32,17 @@ BLOCK_GENES = 5
 
 def best_over_grid(solver_id, spec, train, test, alphas, tol, max_iter, norm_T):
     """(test errors, alpha, report, evaluation, seconds) of the alpha with
-    the fewest test errors; the first such alpha of the grid on a tie."""
+    the fewest test errors; the first such alpha of the grid on a tie. An
+    alpha whose solve diverges is skipped; None when every alpha did."""
     best = None
     for alpha in alphas:
         cfg = SolverConfig.for_alpha(solver_id, alpha, train.n_samples,
                                      max_iter=max_iter, rel_tol=tol, norm_T=norm_T)
         t0 = time.perf_counter()
-        report = SOLVERS[solver_id](train, spec, cfg)
+        try:
+            report = SOLVERS[solver_id](train, spec, cfg)
+        except DivergenceError:
+            continue
         elapsed = time.perf_counter() - t0
         ev = evaluate_model(report.model, test, spec, lam=cfg.lam)
         entry = (ev.error_count, alpha, report, ev, elapsed)
@@ -79,9 +83,12 @@ def main(argv=None):
             if reg in ("l12", "l1inf"):
                 blocks = BlockStructure.contiguous(train.n_features, BLOCK_GENES)
             spec = RegularizerSpec(reg, blocks)
-            errors, alpha, report, ev, elapsed = best_over_grid(
-                solver_id, spec, train, test, args.alphas, args.tol,
-                args.max_iter, norm_T)
+            best = best_over_grid(solver_id, spec, train, test, args.alphas, args.tol,
+                                  args.max_iter, norm_T)
+            if best is None:
+                print(f"{solver_name:<11} {reg:<6} diverged at every alpha")
+                continue
+            errors, alpha, report, ev, elapsed = best
             nz = "+".join(str(int(c)) for c in count_nonzeros(report.model))
             print(f"{solver_name:<11} {reg:<6} errors {errors}/{test.n_samples}"
                   f"  nonzeros {nz}  alpha* {alpha:g}  "

@@ -29,10 +29,12 @@ from .solvers import SOLVERS, DivergenceError, SolverConfig
 DEFAULT_ALPHAS = "0.001,0.01,0.1,1,10,100,1000"
 
 
-def _load_dataset(path, fmt):
+def _load_dataset(path, fmt, n_features=None):
+    """The dataset at `path`; `n_features` sets the width of an svmlight
+    file, whose highest index may fall short of it."""
     if fmt == "csv":
         return datamod.load_dense_csv(path)
-    return datamod.load_sparse_svmlight(path)
+    return datamod.load_sparse_svmlight(path, n_features)
 
 
 def _finite(name, zero_ok=False):
@@ -183,7 +185,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     pm = load_model(args.model)
-    dataset = _load_dataset(args.data, args.format)
+    dataset = _load_dataset(args.data, args.format, pm.model.weights.shape[1])
     stats_path = args.model + ".stats"
     try:
         stats = load_standardize_stats(stats_path)
@@ -220,7 +222,7 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     pool = _load_dataset(args.data, args.format)
-    test_fixed = _load_dataset(args.test, args.format) if args.test else None
+    test_fixed = _load_dataset(args.test, args.format, pool.n_features) if args.test else None
     spec = _build_spec(args, pool.n_features)
 
     # repetition r uses seed + r; splits and operator norms are shared

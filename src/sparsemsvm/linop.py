@@ -86,33 +86,32 @@ def _apply_T_aug(x_aug, dataset, *, gather=True):
     return scores - own[:, None]
 
 
-def _effective_dual(y, dataset, out=None):
+def _effective_dual(y, dataset):
     """y_eff(l, k) = y(l, k) - delta_{k=z_l} sum_j y(l, j), the weights of the
-    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array or in
-    `out`."""
-    if out is None:
-        out = y.copy()
-    else:
-        np.copyto(out, y)
-    return np.subtract(y, np.add.reduce(y, axis=1, keepdims=True), out=out,
+    samples in `_apply_T_adjoint_aug`, as a fresh (L, K) array."""
+    return np.subtract(y, np.add.reduce(y, axis=1, keepdims=True), out=y.copy(),
                        where=dataset.own_mask)
 
 
-def _apply_T_adjoint_aug(y, dataset, y_eff=None):
-    """Adjoint of `_apply_T_aug` at an (L, K) array y: row k of the (K, M+1)
-    result accumulates sum_l y_eff(l, k) * phi~(u_l) (`_effective_dual`,
-    which a caller that has it already hands as `y_eff`), the appended
-    constant of phi~ making the offsets accumulate too."""
-    if y_eff is None:
-        y_eff = _effective_dual(y, dataset)
-    out = np.empty((y.shape[1], dataset.n_features + 1))
+def _scores_adjoint_aug(w, dataset):
+    """Adjoint of `_scores_aug` at an (L, R) array w: the row-major (R, M+1)
+    array [F, 1]^T w, whose row r accumulates sum_l w(l, r) * phi~(u_l)."""
+    out = np.empty((w.shape[1], dataset.n_features + 1))
     if issparse(dataset.features):
         # scipy's product is column-major; the copy makes it row-major
-        out[:, :-1] = y_eff.T @ dataset.features
+        out[:, :-1] = w.T @ dataset.features
     else:
-        np.matmul(y_eff.T, dataset.features, out=out[:, :-1])
-    out[:, -1] = np.add.reduce(y_eff, axis=0)
+        np.matmul(w.T, dataset.features, out=out[:, :-1])
+    out[:, -1] = np.add.reduce(w, axis=0)
     return out
+
+
+def _apply_T_adjoint_aug(y, dataset, y_eff=None):
+    """Adjoint of `_apply_T_aug` at an (L, K) array y: `_scores_adjoint_aug`
+    at y_eff (`_effective_dual`, which a caller that has it already hands
+    as `y_eff`)."""
+    return _scores_adjoint_aug(_effective_dual(y, dataset) if y_eff is None else y_eff,
+                               dataset)
 
 
 # A start vector must not lie in the Gram's null space (for T^T T, the
@@ -246,19 +245,11 @@ def operator_norm(dataset: Dataset) -> NormEstimate:
 def features_aug_norm(dataset: Dataset) -> NormEstimate:
     """Norm of the augmented feature matrix [features, 1], inflated by a
     1.01 safety factor, by the rule of `_norm` on its Grams (sides L and
-    M+1), exact or by Lanczos. Used by the single-block binary solvers.
+    M+1), exact or by Lanczos over the products of `_scores_aug` and its
+    adjoint with one class row. Used by the single-block binary solvers.
     """
     feats = dataset.features
     L, M = feats.shape
-
-    def matvec(v):
-        return feats @ v[:-1] + v[-1]
-
-    def rmatvec(s):
-        w = feats.T @ s
-        if issparse(feats):
-            w = np.asarray(w).ravel()
-        return np.append(w, s.sum())
-
-    return _norm((L,), (M + 1,), lambda: _gram_rows(feats), lambda: _gram_cols(feats),
-                 matvec, rmatvec, _entries(feats))
+    return _norm((L, 1), (1, M + 1), lambda: _gram_rows(feats), lambda: _gram_cols(feats),
+                 lambda v: _scores_aug(v, dataset), lambda s: _scores_adjoint_aug(s, dataset),
+                 _entries(feats))

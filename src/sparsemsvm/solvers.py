@@ -12,8 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluate import objective_value
-from .linop import (_apply_T_adjoint_aug, _apply_T_aug, _effective_dual, _scores_aug,
-                    features_aug_norm, operator_norm)
+from .linop import (_apply_T_adjoint_aug, _apply_T_aug, _effective_dual, _scores_adjoint_aug,
+                    _scores_aug, features_aug_norm, operator_norm)
 from .model import Dataset, ModelVector, RegularizerSpec, issparse, make_margin_offsets
 from .prox import (dual_norm, project_epigraph_max_rows, project_halfspace_sum,
                    project_simplex_rows, prox_regularizer_aug, regularizer_value)
@@ -71,8 +71,8 @@ class SolveReport:
 
 def _require(cfg, name):
     value = getattr(cfg, name)
-    if value is None or not value > 0:
-        raise ValueError(f"this solver needs cfg.{name} > 0")
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"this solver needs a finite cfg.{name} > 0, got {value!r}")
     return float(value)
 
 
@@ -98,17 +98,6 @@ def _rel_change(x_new, x):
     return _relative(np.linalg.norm(x_new - x), np.linalg.norm(x))
 
 
-def _dual_change(pairs):
-    """The relative change of a dual state as `_iterate` reads it, on
-    demand: the largest `_rel_change` over its (new, old) array pairs."""
-    return lambda: max(_rel_change(new, old) for new, old in pairs)
-
-
-def _no_dual_change():
-    """`dual_rel` of a solver without a dual state."""
-    return 0.0
-
-
 def _guard(x_aug, norm, objective, cap):
     """Divergence guard: abort on a non-finite or runaway iterate, or on an
     objective (None when unknown) that is non-finite or beyond `cap`.
@@ -126,13 +115,13 @@ def _guard(x_aug, norm, objective, cap):
 def _iterate(step, x0, cfg, callback=None):
     """The iteration loop shared by every solver.
 
-    `step(x) -> (x_new, dual_rel, obj, sizes)` advances one iteration and
+    `step(x) -> (x_new, duals, obj, sizes)` advances one iteration and
     keeps any dual or momentum state in its closure. x_new must be a fresh
-    array, since callers may keep every iterate. `dual_rel()` returns the
-    relative change of the dual state (`_no_dual_change` for the smooth
-    solvers); the stopping rule calls it only when x did not move. `obj`
-    is the objective at x_new when the step computes it anyway (the FISTA
-    steps), else None. `sizes` is None, or the pair (||x_new - x||,
+    array, since callers may keep every iterate. `duals` holds the (new,
+    old) array pairs of the dual state, empty for the smooth solvers; the
+    stopping rule reads their largest `_rel_change` only when x did not
+    move. `obj` is the objective at x_new when the step computes it anyway
+    (the FISTA steps), else None. `sizes` is None, or the pair (||x_new - x||,
     ||x_new||) when the step has it for less than the loop's passes over
     every entry: a screened primal-dual step takes it from the columns it
     ran on, since x and x_new are zero off them (the same norms, their
@@ -150,7 +139,7 @@ def _iterate(step, x0, cfg, callback=None):
     norm_x = np.linalg.norm(x0)
     diff = np.empty_like(x0)
     for it in range(1, cfg.max_iter + 1):
-        x_new, dual_rel, obj, sizes = step(x)
+        x_new, duals, obj, sizes = step(x)
         if sizes is None:
             np.subtract(x_new, x, out=diff)
             sizes = np.linalg.norm(diff), np.linalg.norm(x_new)
@@ -164,7 +153,8 @@ def _iterate(step, x0, cfg, callback=None):
             callback(it, x)
         # a bit-exact frozen primal only counts as converged once the dual
         # is stationary too (prox can pin x while y still warms up)
-        if rel <= cfg.rel_tol and (rel > 0.0 or dual_rel() <= cfg.rel_tol):
+        if rel <= cfg.rel_tol and (
+                rel > 0.0 or max((_rel_change(*p) for p in duals), default=0.0) <= cfg.rel_tol):
             converged = True
             break
     return x, it, converged, rel if it else 0.0
@@ -195,12 +185,10 @@ def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
 # their order of the plain expression in its docstring, so the iterates
 # are bitwise those of that expression.
 
-def _forward(x, v, tau, out=None):
-    """x - tau * v, computed in `out`, by default in v (the adjoint's fresh
-    output T^T y)."""
-    out = v if out is None else out
-    np.multiply(tau, v, out=out)
-    return np.subtract(x, out, out=out)
+def _forward(x, v, tau):
+    """x - tau * v, computed in v (the adjoint's fresh output T^T y)."""
+    np.multiply(tau, v, out=v)
+    return np.subtract(x, v, out=v)
 
 
 def _extrapolate(x_new, x, out):
@@ -264,7 +252,6 @@ class _Plan(NamedTuple):
     flat: np.ndarray      # the flat positions in x of C and the offset column, row by row
     dataset: Dataset      # the features of C
     spec: RegularizerSpec  # the penalty on C
-    ext: np.ndarray       # the extrapolation's buffer on C, then that of x_new - x
 
 
 class _Screen:
@@ -298,10 +285,8 @@ class _Screen:
 
     def __init__(self, dataset, spec, tau, sigma):
         self.dataset, self.spec, self.tau, self.sigma = dataset, spec, tau, sigma
-        K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
+        K, M = dataset.n_classes, dataset.n_features
         self.ext = np.empty((K, M + 1))
-        # E(y) and the test's E(y) - E(y_ref), in buffers of the solve
-        self.y_eff, self.e = np.empty((L, K)), np.empty((L, K))
         self.plan = None
         # the compact iterate of the last screened step (None after a full
         # one) and the spare buffer the next one writes its prox into
@@ -344,17 +329,17 @@ class _Screen:
         K, M = x_new.shape[0], self.dataset.n_features
         flat = (np.arange(K)[:, None] * (M + 1) + np.append(cols, M)).ravel()
         return _Plan(delta, _effective_dual(y_ref, self.dataset), flat,
-                     self.dataset.columns(cols), spec, np.empty((K, cols.size + 1)))
+                     self.dataset.columns(cols), spec)
 
     def _within(self, y_eff):
         """Whether e < delta at the dual whose E(y) is y_eff."""
-        e = np.subtract(y_eff, self.plan.e_ref, out=self.e)
+        e = y_eff - self.plan.e_ref
         return math.sqrt(np.maximum.reduce(np.einsum("lk,lk->k", e, e))) < self.plan.bound
 
     def __call__(self, x, y):
         y_eff = None
         if self.plan is not None:
-            y_eff = _effective_dual(y, self.dataset, out=self.y_eff)
+            y_eff = _effective_dual(y, self.dataset)
             if self._within(y_eff):
                 self.backoff = 0
                 return self._screened(x, y, y_eff)
@@ -383,15 +368,14 @@ class _Screen:
         # its entries on C are that step's compact iterate, kept
         xc = self.xc
         if xc is None:
-            xc = x.take(plan.flat).reshape(plan.ext.shape)
+            xc = x.take(plan.flat).reshape(x.shape[0], -1)
         v = _apply_T_adjoint_aug(y, plan.dataset, y_eff=y_eff)
         xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau,
                                       out=self.spare)
-        y_hat = _dual_ascent(y, self.sigma, _extrapolate(xc_new, xc, plan.ext), plan.dataset,
-                             gather=False)
+        y_hat = _dual_ascent(y, self.sigma, 2.0 * xc_new - xc, plan.dataset, gather=False)
         # x and x_new are zero off C, so their norms are those of C's
         # entries (the sums np.linalg.norm takes, without its wrapper)
-        d = np.subtract(xc_new, xc, out=plan.ext)
+        d = xc_new - xc
         x_new = np.zeros(x.shape)
         x_new.put(plan.flat, xc_new)
         self.xc, self.spare = xc_new, xc
@@ -419,9 +403,9 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
         nonlocal y
         x_new, y_hat, sizes = primal(x, y)
         y_new = project_simplex_rows(np.add(y_hat, sigma_r, out=y_hat), lam)
-        dual_rel = _dual_change([(y_new, y)])
+        duals = ((y_new, y),)
         y = y_new
-        return x_new, dual_rel, None, sizes
+        return x_new, duals, None, sizes
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, lam=lam, dual_y=y)
@@ -461,21 +445,17 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
     y = np.zeros((L, K))
     xi = np.zeros(L)
     primal = _Screen(dataset, spec, tau, sigma)
-    # the step's temporaries: zeta - tau * xi, xi_hat, y_hat / sigma and
-    # xi_hat / sigma; the states and the projections' outputs stay fresh
-    zeta_fwd, xi_hat, y_scaled, xi_scaled = np.empty(L), np.empty(L), np.empty((L, K)), np.empty(L)
 
     def step(x):
         nonlocal zeta, y, xi
         x_new, y_hat, sizes = primal(x, y)
-        zeta_new = project_halfspace_sum(_forward(zeta, xi, tau, out=zeta_fwd), eta)
-        _ascend(xi, sigma, _extrapolate(zeta_new, zeta, xi_hat))
-        y_tilde, xi_tilde = project_epigraph_max_rows(np.divide(y_hat, sigma, out=y_scaled), r,
-                                                      np.divide(xi_hat, sigma, out=xi_scaled))
+        zeta_new = project_halfspace_sum(zeta - tau * xi, eta)
+        xi_hat = xi + sigma * (2.0 * zeta_new - zeta)
+        y_tilde, xi_tilde = project_epigraph_max_rows(y_hat / sigma, r, xi_hat / sigma)
         y_new, xi_new = _moreau(y_hat, sigma, y_tilde), _moreau(xi_hat, sigma, xi_tilde)
-        dual_rel = _dual_change([(y_new, y), (xi_new, xi), (zeta_new, zeta)])
+        duals = ((y_new, y), (xi_new, xi), (zeta_new, zeta))
         zeta, y, xi = zeta_new, y_new, xi_new
-        return x_new, dual_rel, None, sizes
+        return x_new, duals, None, sizes
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, eta=eta, dual_y=y)
@@ -532,7 +512,7 @@ def _fista(x0, loss_grad, spec, gamma, cfg, callback=None):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         v = x_new + ((t - 1.0) / t_new) * (x_new - x)
         t, obj_x = t_new, obj_new
-        return x_new, _no_dual_change, obj_new, None
+        return x_new, (), obj_new, None
 
     return _iterate(step, x0, cfg, callback)
 
@@ -566,7 +546,7 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
     def step(x):
         _, grad = _logistic_loss_grad(x, dataset, r, lam)
         x_new = prox_regularizer_aug(x - gamma * grad, spec, gamma)
-        return x_new, _no_dual_change, None, None
+        return x_new, (), None, None
 
     run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
     return _report(run, dataset, spec, lam=lam)
@@ -596,8 +576,7 @@ def solve_one_vs_all(dataset: Dataset, spec: RegularizerSpec,
     def loss_grad(x):
         gap = np.maximum(mu - sign * _scores_aug(x, dataset), 0.0)
         coeff = -2.0 * lam * sign * gap
-        gw = np.asarray(coeff.T @ dataset.features)
-        return lam * float((gap ** 2).sum()), np.hstack([gw, coeff.sum(axis=0)[:, None]])
+        return lam * float((gap ** 2).sum()), _scores_adjoint_aug(coeff, dataset)
 
     run = _fista(np.zeros((K, M + 1)), loss_grad, spec, gamma, cfg, callback)
     return _report(run, dataset, spec, lam=lam)

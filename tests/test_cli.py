@@ -1184,3 +1184,75 @@ def test_fuzzed_stats_end_in_a_result_or_one_error_line(standardized_model, edit
         assert err.startswith("error: m.model.stats") and err.count("\n") == 1, err
     else:
         assert code == 0 and err == "", err
+
+
+# ---------------------------------------------------------------------------
+# held-out svmlight files narrower than the training data, and infinite
+# hyperparameters from a finite alpha
+
+HELD_OUT_TRAIN = "1 1:1.0 3:0.5\n2 2:1.0\n1 1:0.9\n2 2:1.1 3:0.2\n"
+
+
+@pytest.fixture
+def svmlight_model(tmp_path, capsys):
+    train, model = tmp_path / "train.svm", tmp_path / "m.model"
+    train.write_text(HELD_OUT_TRAIN)
+    assert main(["train", "--data", str(train), "--format", "svmlight", "--solver", "fbpd-reg",
+                 "--alpha", "1", "--tol", "1e-3", "--out", str(model)]) == 0
+    capsys.readouterr()
+    return train, model
+
+
+def test_a_held_out_svmlight_file_lacking_the_last_feature_evaluates(svmlight_model, capsys):
+    train, model = svmlight_model
+    test = train.parent / "test.svm"
+    test.write_text("1 1:1.0\n2 2:1.0\n")
+    assert main(["eval", "--model", str(model), "--data", str(test), "--format", "svmlight"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.startswith("errors 0/2\n")
+    # the held-out file scores as the training file would with its third
+    # feature zeroed
+    padded = train.parent / "padded.svm"
+    padded.write_text("1 1:1.0 3:0\n2 2:1.0 3:0\n")
+    assert main(["eval", "--model", str(model), "--data", str(padded),
+                 "--format", "svmlight"]) == 0
+    assert capsys.readouterr().out == out.out
+
+
+def test_a_sweep_scores_a_narrower_svmlight_test_file(svmlight_model, capsys):
+    train, _ = svmlight_model
+    test = train.parent / "test.svm"
+    test.write_text("1 1:1.0\n2 2:1.0\n")
+    assert main(["sweep", "--data", str(train), "--test", str(test), "--format", "svmlight",
+                 "--solver", "fbpd-reg", "--alphas", "1", "--tol", "1e-3"]) == 0
+    out = capsys.readouterr()
+    header, row = out.out.splitlines()
+    assert out.err == "" and header == "alpha,mean_errors,mean_error_rate,mean_nonzeros"
+    assert row.startswith("1,0,0,")
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_a_held_out_index_beyond_the_width_is_the_readers_error(svmlight_model, capsys, command):
+    train, model = svmlight_model
+    test = train.parent / "wide.svm"
+    test.write_text("1 1:1.0\n2 4:1.0\n")
+    argv = (["eval", "--model", str(model), "--data", str(test)] if command == "eval" else
+            ["sweep", "--data", str(train), "--test", str(test), "--solver", "fbpd-reg",
+             "--alphas", "1"])
+    assert main(argv + ["--format", "svmlight"]) == 1
+    assert capsys.readouterr() == ("", f"error: {test}: index 4 exceeds n_features=3\n")
+
+
+@pytest.mark.parametrize("solver, alpha, name", [("fbpd-con", "1e308", "eta"),
+                                                 ("fbpd-reg", "1e-320", "lam")])
+def test_a_finite_alpha_with_an_infinite_parameter_is_one_error_line(tmp_path, capsys, solver,
+                                                                     alpha, name):
+    data, model = tmp_path / "d.csv", tmp_path / "m.model"
+    save_dense_csv(data, make_synthetic(3, 4, 30, seed=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--solver", solver, "--alpha", alpha,
+                     "--out", str(model)])
+    assert (code, capsys.readouterr()) == (
+        1, ("", f"error: this solver needs a finite cfg.{name} > 0, got inf\n"))
+    assert caught == [] and not model.exists()

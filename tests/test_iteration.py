@@ -26,7 +26,7 @@ from sparsemsvm.prox import (_block_soft_threshold_rows, _group_rows, _linf_prox
                              _ungroup_rows, project_halfspace_sum, project_simplex_rows,
                              regularizer_value)
 from sparsemsvm.solvers import (OBJECTIVE_CAP, DivergenceError, SolverConfig, _guard,
-                                _iterate, _no_dual_change, _rel_change,
+                                _iterate, _rel_change,
                                 solve_constrained_fbpd, solve_regularized_fbpd)
 
 
@@ -172,6 +172,45 @@ def _ref_constrained(ds, spec, eta, cfg):
     return x, y, it, converged, rel
 
 
+def _ref_one_vs_all(ds, spec, lam, cfg):
+    """The stacked one-vs-all run as plain FISTA with function-value
+    restart: the scores as `features @ W.T`, the gradient's weights as
+    `coeff.T @ features` next to its offsets through `hstack`, and the step
+    size from the solver's own norm of [features, 1]."""
+    K = ds.n_classes
+    gamma = 1.0 / max(2.0 * lam * linop.features_aug_norm(ds).value ** 2, 1e-12)
+    sign = np.where(ds.labels[:, None] == np.arange(K), 1.0, -1.0)
+    mu = ds.margins[:, None]
+
+    def loss_grad(x):
+        scores = ds.features @ x[:, :-1].T + x[:, -1]
+        gap = np.maximum(mu - sign * scores, 0.0)
+        coeff = -2.0 * lam * sign * gap
+        gw = np.asarray(coeff.T @ ds.features)
+        return lam * float((gap ** 2).sum()), np.hstack([gw, coeff.sum(axis=0)[:, None]])
+
+    def objective(x):
+        return loss_grad(x)[0] + regularizer_value(x, spec)
+
+    x0 = np.zeros((K, ds.n_features + 1))
+    v, t, obj_x = x0, 1.0, objective(x0)
+
+    def step(x):
+        nonlocal v, t, obj_x
+        x_new = _ref_prox(v - gamma * loss_grad(v)[1], spec, gamma)
+        obj_new = objective(x_new)
+        if obj_new > obj_x:
+            t = 1.0
+            x_new = _ref_prox(x - gamma * loss_grad(x)[1], spec, gamma)
+            obj_new = objective(x_new)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        v = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        t, obj_x = t_new, obj_new
+        return x_new, 0.0
+
+    return _ref_iterate(step, x0, cfg)
+
+
 # ---------------------------------------------------------------------------
 # bit identity with the reference
 
@@ -224,6 +263,21 @@ def test_converged_runs_match_the_reference_bitwise(csr):
     assert reg.converged and con.converged
     _assert_same_run(reg, _ref_regularized(ds, spec, 1.0, cfg))
     _assert_same_run(con, _ref_constrained(ds, spec, 3.5, cfg))
+
+
+@pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("kind, mode", [("l1", None), ("l1inf", "per-class")])
+@pytest.mark.parametrize("K, M, L, seed", [(3, 12, 24, 0), (10, 15, 40, 1)])
+def test_one_vs_all_matches_the_reference_bitwise(K, M, L, seed, kind, mode, csr):
+    ds = _dataset(K, M, L, seed, csr)
+    blocks = None if mode is None else BlockStructure.contiguous(M, 3, mode=mode)
+    spec = RegularizerSpec(kind, blocks)
+    cfg = SolverConfig(lam=1.0, max_iter=300, rel_tol=1e-6)
+    x, it, converged, rel = _ref_one_vs_all(ds, spec, 1.0, cfg)
+    report = solvers.solve_one_vs_all(ds, spec, cfg)
+    np.testing.assert_array_equal(report.model.augmented(), x)
+    assert (report.iterations, report.converged) == (it, converged)
+    assert report.final_rel_change == rel
 
 
 def test_sparse_iterates_take_T_over_their_active_columns():
@@ -332,7 +386,7 @@ def test_the_kept_compact_iterate_is_the_gathered_one(monkeypatch, solve, kind, 
 
     def screened(self, x, y, y_eff, inner=solvers._Screen._screened):
         if self.xc is not None:
-            gathered = x.take(self.plan.flat).reshape(self.plan.ext.shape)
+            gathered = x.take(self.plan.flat).reshape(x.shape[0], -1)
             assert self.xc.shape == gathered.shape and self.xc.tobytes() == gathered.tobytes()
             assert self.spare is not self.xc
         kept.append(self.xc is not None)
@@ -428,7 +482,7 @@ def _run(iterates, objectives=None, max_iter=None):
 
     def step(x):
         x_new, obj = next(seq)
-        return np.array(x_new, dtype=float), _no_dual_change, obj, None
+        return np.array(x_new, dtype=float), (), obj, None
 
     cfg = SolverConfig(max_iter=max_iter or len(iterates), rel_tol=0.0)
     return _iterate(step, np.zeros(4), cfg)
