@@ -29,12 +29,30 @@ from .solvers import SOLVERS, DivergenceError, SolverConfig
 DEFAULT_ALPHAS = "0.001,0.01,0.1,1,10,100,1000"
 
 
-def _load_dataset(path, fmt, n_features=None):
-    """The dataset at `path`; `n_features` sets the width of an svmlight
-    file, whose highest index may fall short of it."""
+def _load_dataset(path, fmt, like=None):
+    """The dataset at `path`. A held-out file is read `like` its model
+    (a ModelVector) or its training pool (a Dataset): at their class
+    count, and for svmlight at their width, since the file's highest
+    label or index may fall short of them."""
+    n_classes = n_features = None
+    if like is not None:
+        n_classes, n_features = like.n_classes, like.n_features
     if fmt == "csv":
-        return datamod.load_dense_csv(path)
-    return datamod.load_sparse_svmlight(path, n_features)
+        return datamod.load_dense_csv(path, n_classes)
+    return datamod.load_sparse_svmlight(path, n_features, n_classes)
+
+
+def _config(solver, alpha, n_samples, **kwargs):
+    """`SolverConfig.for_alpha`, or ValueError naming `--alpha` when the
+    parameter it sets overflows to inf (lam = 1/alpha, or eta = alpha
+    times the sample count for fbpd-con)."""
+    cfg = SolverConfig.for_alpha(solver, alpha, n_samples, **kwargs)
+    if solver == "fbpd-con" and not math.isfinite(cfg.eta):
+        raise ValueError(f"--alpha {alpha!r} times the {n_samples} samples "
+                         "overflows the hinge budget eta")
+    if cfg.lam is not None and not math.isfinite(cfg.lam):
+        raise ValueError(f"--alpha {alpha!r} is too small: lam = 1/alpha overflows")
+    return cfg
 
 
 def _finite(name, zero_ok=False):
@@ -140,8 +158,8 @@ def cmd_train(args):
     if args.standardize:
         dataset, stats = datamod.standardize(dataset)
     spec = _build_spec(args, dataset.n_features)
-    cfg = SolverConfig.for_alpha(args.solver, args.alpha, dataset.n_samples,
-                                 max_iter=args.max_iter, rel_tol=args.tol)
+    cfg = _config(args.solver, args.alpha, dataset.n_samples,
+                  max_iter=args.max_iter, rel_tol=args.tol)
     report = SOLVERS[args.solver](dataset, spec, cfg)
 
     block_size = groups_text = None
@@ -185,7 +203,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     pm = load_model(args.model)
-    dataset = _load_dataset(args.data, args.format, pm.model.weights.shape[1])
+    dataset = _load_dataset(args.data, args.format, like=pm.model)
     stats_path = args.model + ".stats"
     try:
         stats = load_standardize_stats(stats_path)
@@ -222,7 +240,7 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     pool = _load_dataset(args.data, args.format)
-    test_fixed = _load_dataset(args.test, args.format, pool.n_features) if args.test else None
+    test_fixed = _load_dataset(args.test, args.format, like=pool) if args.test else None
     spec = _build_spec(args, pool.n_features)
 
     # repetition r uses seed + r; splits and operator norms are shared
@@ -244,9 +262,8 @@ def cmd_sweep(args):
     for alpha in args.alphas:
         errors, rates, nonzeros, times = [], [], [], []
         for train, test, norm_T in splits:
-            cfg = SolverConfig.for_alpha(args.solver, alpha, train.n_samples,
-                                         max_iter=args.max_iter, rel_tol=args.tol,
-                                         norm_T=norm_T)
+            cfg = _config(args.solver, alpha, train.n_samples,
+                          max_iter=args.max_iter, rel_tol=args.tol, norm_T=norm_T)
             t0 = time.perf_counter()
             try:
                 report = SOLVERS[args.solver](train, spec, cfg)
@@ -292,8 +309,8 @@ def cmd_bench(args):
     lines = ["solver,iteration,rel_distance" + (",time_s" if args.timing else "")]
     all_converged = True
     for name in args.solvers:
-        cfg = SolverConfig.for_alpha(name, args.alpha, dataset.n_samples,
-                                     max_iter=args.max_iter, rel_tol=args.tol, norm_T=norm_T)
+        cfg = _config(name, args.alpha, dataset.n_samples,
+                      max_iter=args.max_iter, rel_tol=args.tol, norm_T=norm_T)
         ref_cfg = replace(cfg, max_iter=args.max_iter * 10,
                           rel_tol=args.tol * args.ref_tol_factor)
         reference = SOLVERS[name](dataset, spec, ref_cfg).model.augmented()

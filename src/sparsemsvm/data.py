@@ -41,10 +41,21 @@ def _undecodable(path):
     return DataFormatError(f"{path}: not UTF-8 text")
 
 
-def load_dense_csv(path) -> Dataset:
+def _check_label(path, lineno, label, n_classes):
+    """A 1-based label of line `lineno`: at least 1, and at most
+    `n_classes` when that is given."""
+    if label < 1:
+        raise DataFormatError(f"{path}:{lineno}: labels must be >= 1")
+    if n_classes is not None and label > n_classes:
+        raise DataFormatError(f"{path}:{lineno}: label {label} exceeds n_classes={n_classes}")
+
+
+def load_dense_csv(path, n_classes=None) -> Dataset:
     """Dense CSV: first column an integer 1-based label, the remaining M
     columns the feature values. Rejects ragged rows, non-numeric or
-    non-finite cells and empty files."""
+    non-finite cells and empty files. `n_classes` sets the class count of
+    a file whose highest label may fall short of it, and rejects a label
+    above it; by default the highest label sets it."""
     labels = []
     rows = []
     linenos = []
@@ -68,8 +79,7 @@ def load_dense_csv(path) -> Dataset:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric feature cell") from None
             if rows and len(feats) != len(rows[0]):
                 raise DataFormatError(f"{path}:{lineno}: ragged row ({len(feats)} vs {len(rows[0])} features)")
-            if label < 1:
-                raise DataFormatError(f"{path}:{lineno}: labels must be >= 1")
+            _check_label(path, lineno, label, n_classes)
             labels.append(label)
             rows.append(feats)
             linenos.append(lineno)
@@ -79,7 +89,7 @@ def load_dense_csv(path) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise DataFormatError(f"{path}:{linenos[bad[0]]}: non-finite feature cell")
-    return Dataset.from_arrays(feats, labels, one_based=True)
+    return Dataset.from_arrays(feats, labels, n_classes=n_classes, one_based=True)
 
 
 def save_dense_csv(path, dataset: Dataset):
@@ -92,10 +102,14 @@ def save_dense_csv(path, dataset: Dataset):
             fh.write(",".join(cells) + "\n")
 
 
-def load_sparse_svmlight(path, n_features=None) -> Dataset:
+def load_sparse_svmlight(path, n_features=None, n_classes=None) -> Dataset:
     """svmlight-style text: lines `label idx:val idx:val ...` with 1-based,
     strictly increasing indices; missing features are exact zeros.
-    Trailing `#` comments are ignored; non-finite values are rejected."""
+    Trailing `#` comments are ignored; non-finite values are rejected.
+    `n_features` and `n_classes` set the width and the class count of a
+    file whose highest index or label may fall short of them (an index or
+    label above them is an error); by default the file's highest ones set
+    them."""
     labels = []
     linenos = []
     data, indices, indptr = [], [], [0]
@@ -110,8 +124,7 @@ def load_sparse_svmlight(path, n_features=None) -> Dataset:
                 label = int(tokens[0])
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: label {tokens[0]!r} is not an integer") from None
-            if label < 1:
-                raise DataFormatError(f"{path}:{lineno}: labels must be >= 1")
+            _check_label(path, lineno, label, n_classes)
             prev = 0
             for tok in tokens[1:]:
                 try:
@@ -142,7 +155,7 @@ def load_sparse_svmlight(path, n_features=None) -> Dataset:
         raise DataFormatError(f"{path}: index {max_idx} exceeds n_features={M}")
     import scipy.sparse as sp
     feats = sp.csr_matrix((data, indices, indptr), shape=(len(labels), M))
-    return Dataset.from_arrays(feats, labels, one_based=True)
+    return Dataset.from_arrays(feats, labels, n_classes=n_classes, one_based=True)
 
 
 def save_sparse_svmlight(path, dataset: Dataset):

@@ -191,17 +191,39 @@ def _block_soft_threshold_rows(rows, step):
     return rows * np.maximum(1.0 - scale, 0.0)[:, None]
 
 
+def _abs_row_sums(rows):
+    """np.add.reduce(np.abs(rows), axis=1) of an (n, s) array, bit for bit.
+
+    numpy sums a row of fewer than 8 entries one entry after another, and
+    so does a sum down the columns of the class-major contiguous copy
+    |rows|^T that adds its rows in order: s - 1 vector adds of length n,
+    in place of n reductions of length s (with the abs, 3.8 us against 9.1
+    on 411 rows of 5). From 8 entries on, numpy's pairwise sum splits a
+    row, so those rows keep it."""
+    if rows.shape[1] >= 8:
+        return np.add.reduce(np.abs(rows), axis=1)
+    return np.add.reduce(np.abs(rows.T, order="C"), axis=0)
+
+
 def _linf_prox_rows(rows, step):
     """prox of step*||.||_inf per row: w - P_{l1 ball radius step}(w).
 
     A finite row inside the ball maps to w - w = +0.0, so those rows are
     zero-filled, not copied and subtracted. A row whose l1 norm is nan
-    takes the projection's path, which keeps it non-finite."""
+    takes the projection's path, which keeps it non-finite. The rows over
+    the ball take `project_simplex_rows`'s operations on |w| inline, in
+    its order, so the bits are those of `_onto_l1_ball`."""
     out = np.zeros(rows.shape)
-    over = np.flatnonzero(~(np.abs(rows).sum(axis=1) <= step))
+    over = np.flatnonzero(~(_abs_row_sums(rows) <= step))
     if over.size:
         w = rows[over]
-        out[over] = w - _onto_l1_ball(w, step)
+        a = np.abs(w)
+        s = np.sort(a, axis=1)
+        theta, _ = _threshold(s[:, ::-1], -step, 0)
+        np.subtract(a, theta[:, None], out=a)
+        np.maximum(a, 0.0, out=a)
+        np.multiply(np.sign(w), a, out=a)
+        out[over] = np.subtract(w, a, out=a)
     return out
 
 
@@ -266,7 +288,7 @@ def dual_norm(v, spec: RegularizerSpec):
     norms = []
     for rows in _group_rows(v, spec.blocks):
         n = (np.sqrt(np.einsum("ij,ij->i", rows, rows)) if spec.kind == "l12"
-             else np.einsum("ij->i", np.abs(rows)))
+             else _abs_row_sums(rows))
         if spec.blocks.mode == "per-class":
             n = n.reshape(v.shape[0], -1).max(axis=0)
         norms.append(n)

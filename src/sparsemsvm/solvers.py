@@ -230,7 +230,7 @@ SCREEN_SHARE = 0.02
 # Largest share of the M columns a screened step runs on, which bounds the
 # copied features. leukemia-l1inf screens on 755-785 columns: at a cap of
 # 0.1 it could not and took 1.29 s, at 0.2, 0.3 and 1.0 0.73-0.82 s (seed 0).
-# Small M rarely gets under it (M=15: 4 columns), so it backs off.
+# Small M rarely gets under it (M=15: 4 columns).
 SCREEN_MAX_SHARE = 0.3
 # Dual-norm headroom below 1 that a screened unit keeps, so that the full
 # step too would leave it an exact zero despite rounding in T^T y.
@@ -244,8 +244,44 @@ def _column_norms(features):
     return np.sqrt(np.einsum("lj,lj->j", features, features))
 
 
+def _group_spectral_norms(features, blocks):
+    """The largest singular value of the dense features of every group, in
+    `blocks.layout` order, from the top eigenvalues of the groups' s x s
+    Grams, one batch per run of equal-size groups."""
+    perm, runs = blocks.layout
+    F = features if perm is None else np.take(features, perm, axis=1)
+    norms = []
+    for lo, hi, size, count in runs:
+        G = F[:, lo:hi].reshape(F.shape[0], count, size).transpose(1, 2, 0)
+        top = np.linalg.eigvalsh(G @ G.transpose(0, 2, 1))[:, -1]
+        norms.append(np.sqrt(np.maximum(top, 0.0)))
+    return np.concatenate(norms)
+
+
+def _unit_bounds(dataset, spec):
+    """Lip_u for every unit: how fast its `dual_norm` can grow with e.
+
+    By Cauchy-Schwarz over each feature column it is the unit's
+    `dual_norm` of the column norms (their sum, or their l2 norm for
+    l12). For a group u of s dense features the top singular value
+    sigma_u bounds it too, since ||F_u^T d||_1 <= sqrt(s) ||F_u^T d|| <=
+    sqrt(s) sigma_u ||d||: Lip_u is the smaller of the column bound and
+    sqrt(s) sigma_u (l1inf) or sigma_u (l12). Cross-class groups sum or
+    join the K class rows, which multiplies both by K or sqrt(K)."""
+    features = dataset.features
+    lip = dual_norm(_column_norms(features)[None, :], spec)
+    if spec.needs_blocks and not issparse(features):
+        spectral = _group_spectral_norms(features, spec.blocks)
+        if spec.kind == "l1inf":
+            spectral *= np.sqrt(spec.blocks.layout.sizes())
+        np.minimum(lip, spectral, out=lip)
+    if spec.needs_blocks and spec.blocks.mode == "cross-class":
+        lip *= dataset.n_classes if spec.kind == "l1inf" else np.sqrt(dataset.n_classes)
+    return lip
+
+
 class _Plan(NamedTuple):
-    """What the screened steps after one refresh share."""
+    """What the steps on the columns of one refresh share."""
 
     bound: float          # delta: screen while e < delta
     e_ref: np.ndarray     # E(y_ref)
@@ -259,28 +295,28 @@ class _Screen:
     solvers, `(x, y) -> (x_new, y_hat, sizes)`, taken over the weight
     columns that can move; `sizes` is `_iterate`'s, None for a full step.
 
-    A refresh is the full step. Its T^T y also gives each unit u the slack
+    A refresh computes the full T^T y. It gives each unit u the slack
     (1 - SCREEN_MARGIN - D_u) / Lip_u: D_u is the unit's `dual_norm`, and
-    Lip_u bounds how fast that grows with e = max_k ||E(y - y_ref)_{:,k}||,
-    E being the map `_effective_dual` through which T^T reads y, and y_ref
-    the dual of the refresh. By Cauchy-Schwarz over each feature column, Lip_u is
-    the unit's `dual_norm` of the column norms (their sum, or their l2 norm
-    for l12), times K or sqrt(K) for cross-class groups. A plan picks a bound
-    delta on e (see SCREEN_SHARE) and the columns C of every unit with
-    slack at most delta or a nonzero in the new iterate. While e < delta
-    every other unit stays an exact zero, so each step runs the three
-    lines on the features of C alone and scatters the result into zeros;
-    the iterates are the full steps' up to rounding, which differs only
-    in the sums over the columns. Such a step does no work that grows
-    with M but for the fresh iterate it zero-fills: it starts from the
-    compact iterate on C that the previous screened step kept, E(y) serves
-    both the test of e and T^T y, T on C takes its GEMM without probing
-    for zero columns (C holds the units in use and those nearest to it),
-    and the norms of x_new and of its move come from C's entries. The
-    first step with e >= delta is a refresh again. A plan that runs no
-    screened step, because delta is 0 or C would exceed SCREEN_MAX_SHARE
-    of the columns or e is too large at once, postpones the next plan by
-    1, 2, 4, ... full steps, back to none after a plan that screens. l2sq zeroes no weight and is never screened.
+    Lip_u (`_unit_bounds`) bounds how fast that grows with e = max_k
+    ||E(y - y_ref)_{:,k}||, E being the map `_effective_dual` through which
+    T^T reads y, and y_ref the dual of the refresh. A plan picks a bound
+    delta >= 0 on e (see SCREEN_SHARE) and the columns C of every unit with
+    slack at most delta or a nonzero in the iterate x. Every other unit is
+    zero in x and has a positive slack, so the prox leaves it an exact zero
+    at y_ref and at every dual with e < delta. So the refresh itself and
+    the steps after it while e < delta run the three lines on the features
+    of C alone and scatter the result into zeros; the iterates are the full
+    steps' up to rounding, which differs only in the sums over the columns.
+    A refresh takes its T^T y on C from the full one; a later step on C
+    does no work that grows with M but for the fresh iterate it zero-fills:
+    it starts from the compact iterate on C that the previous step kept,
+    E(y) serves both the test of e and T^T y, T on C takes its GEMM without
+    probing for zero columns (C holds the units in use and those nearest to
+    it), and the norms of x_new and of its move come from C's entries. The
+    first step with e >= delta is a refresh again. A refresh is a full step
+    only where no plan forms: when C would hold all units or exceed
+    SCREEN_MAX_SHARE of the columns. l2sq zeroes no weight and is never
+    screened.
     """
 
     def __init__(self, dataset, spec, tau, sigma):
@@ -288,48 +324,44 @@ class _Screen:
         K, M = dataset.n_classes, dataset.n_features
         self.ext = np.empty((K, M + 1))
         self.plan = None
-        # the compact iterate of the last screened step (None after a full
-        # one) and the spare buffer the next one writes its prox into
+        # the compact iterate of the last step on a plan (None before the
+        # first) and the spare buffer the next one writes its prox into
         self.xc = self.spare = None
-        # wait: full steps before the next plan; backoff: the wait that
-        # follows a plan that runs no screened step
-        self.backoff = self.wait = 0
         self.max_cols = SCREEN_MAX_SHARE * M
         self.screens = spec.kind != "l2sq"
         if not self.screens:
             return
-        lip = dual_norm(_column_norms(dataset.features)[None, :], spec)
-        if spec.needs_blocks and spec.blocks.mode == "cross-class":
-            lip *= K if spec.kind == "l1inf" else np.sqrt(K)
+        # the number of columns of each unit, in `dual_norm`'s order
+        self.sizes = spec.blocks.layout.sizes() if spec.needs_blocks else None
+        lip = _unit_bounds(dataset, spec)
         self.inv_lip = np.divide(1.0, lip, out=np.full(lip.shape, np.inf), where=lip > 0)
 
     def slack(self, v):
         """Each unit's slack at the adjoint's output v = T^T y_ref."""
         return (1.0 - SCREEN_MARGIN - dual_norm(v[:, :-1], self.spec)) * self.inv_lip
 
-    def _plan(self, slack, x_new, y_ref):
-        """The screened step's data after the refresh at y_ref, or None
-        when it cannot screen."""
+    def _plan(self, slack, x, e_ref):
+        """The data of the steps on C from the refresh at the dual whose
+        E(y) is e_ref and whose iterate is x, or None when no plan forms."""
         # on the 0/1 mask: a tiny weight's square can underflow to 0
-        active = dual_norm(x_new[:, :-1].any(axis=0, keepdims=True), self.spec) > 0
+        active = dual_norm(x[:, :-1].any(axis=0, keepdims=True), self.spec) > 0
         rank = max(int(SCREEN_SHARE * slack.size), 2 * int(np.count_nonzero(active)))
         if rank >= slack.size:
             return None
         delta = max(float(np.partition(slack, rank)[rank]), 0.0)
         keep = (slack <= delta) | active
         grouped = self.spec.needs_blocks
-        n_cols = self.spec.blocks.layout.sizes()[keep].sum() if grouped else np.count_nonzero(keep)
-        if delta == 0.0 or n_cols > self.max_cols:
+        n_cols = self.sizes[keep].sum() if grouped else np.count_nonzero(keep)
+        if n_cols > self.max_cols:
             return None
         if grouped:
             cols, blocks = self.spec.blocks.restrict(keep)
             spec = RegularizerSpec(self.spec.kind, blocks)
         else:
             cols, spec = np.flatnonzero(keep), self.spec
-        K, M = x_new.shape[0], self.dataset.n_features
+        K, M = x.shape[0], self.dataset.n_features
         flat = (np.arange(K)[:, None] * (M + 1) + np.append(cols, M)).ravel()
-        return _Plan(delta, _effective_dual(y_ref, self.dataset), flat,
-                     self.dataset.columns(cols), spec)
+        return _Plan(delta, e_ref, flat, self.dataset.columns(cols), spec)
 
     def _within(self, y_eff):
         """Whether e < delta at the dual whose E(y) is y_eff."""
@@ -337,39 +369,33 @@ class _Screen:
         return math.sqrt(np.maximum.reduce(np.einsum("lk,lk->k", e, e))) < self.plan.bound
 
     def __call__(self, x, y):
-        y_eff = None
-        if self.plan is not None:
-            y_eff = _effective_dual(y, self.dataset)
-            if self._within(y_eff):
-                self.backoff = 0
-                return self._screened(x, y, y_eff)
-            self.plan, self.wait = None, self.backoff
-        self.xc = self.spare = None
+        y_eff = _effective_dual(y, self.dataset)
+        if self.plan is not None and self._within(y_eff):
+            return self._screened(x, y, y_eff)
+        return self._refresh(x, y, y_eff)
+
+    def _refresh(self, x, y, y_eff):
         v = _apply_T_adjoint_aug(y, self.dataset, y_eff=y_eff)
-        slack = None
-        if self.wait:
-            self.wait -= 1
-        elif self.screens:
-            slack = self.slack(v)
+        self.xc = self.spare = None
+        self.plan = self._plan(self.slack(v), x, y_eff) if self.screens else None
+        if self.plan is not None:
+            return self._on_plan(x, y, v.take(self.plan.flat).reshape(x.shape[0], -1))
         x_new = prox_regularizer_aug(_forward(x, v, self.tau), self.spec, self.tau)
         y_hat = _dual_ascent(y, self.sigma, _extrapolate(x_new, x, self.ext), self.dataset)
-        if slack is not None:
-            # a plan that runs no screened step doubles the wait before the
-            # next one; the first screened step clears it
-            self.backoff = max(1, 2 * self.backoff)
-            self.plan = self._plan(slack, x_new, y)
-            if self.plan is None:
-                self.wait = self.backoff
         return x_new, y_hat, None
 
     def _screened(self, x, y, y_eff):
+        """A step on the plan of an earlier refresh, while e < delta."""
+        return self._on_plan(x, y, _apply_T_adjoint_aug(y, self.plan.dataset, y_eff=y_eff))
+
+    def _on_plan(self, x, y, v):
+        """The step on the plan's columns C, from v = T^T y on C."""
         plan = self.plan
-        # x is the last step's x_new: after a screened step of this plan
-        # its entries on C are that step's compact iterate, kept
+        # x is the last step's x_new: after a step on this plan its entries
+        # on C are that step's compact iterate, kept
         xc = self.xc
         if xc is None:
             xc = x.take(plan.flat).reshape(x.shape[0], -1)
-        v = _apply_T_adjoint_aug(y, plan.dataset, y_eff=y_eff)
         xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau,
                                       out=self.spare)
         y_hat = _dual_ascent(y, self.sigma, 2.0 * xc_new - xc, plan.dataset, gather=False)
@@ -377,7 +403,8 @@ class _Screen:
         # entries (the sums np.linalg.norm takes, without its wrapper)
         d = xc_new - xc
         x_new = np.zeros(x.shape)
-        x_new.put(plan.flat, xc_new)
+        # a flat index assignment: the same copy as put, in half its time
+        x_new.reshape(-1)[plan.flat] = xc_new.reshape(-1)
         self.xc, self.spare = xc_new, xc
         return x_new, y_hat, (math.sqrt(np.vdot(d, d)), math.sqrt(np.vdot(xc_new, xc_new)))
 

@@ -1243,16 +1243,61 @@ def test_a_held_out_index_beyond_the_width_is_the_readers_error(svmlight_model, 
     assert capsys.readouterr() == ("", f"error: {test}: index 4 exceeds n_features=3\n")
 
 
+def _score_held_out(tmp_path, command, fmt, pool, write_test):
+    """Train on `pool` written as `fmt`, write the held-out file with
+    `write_test(path)` and score it: `eval` of the model or a `sweep`."""
+    train, test, model = tmp_path / f"train.{fmt}", tmp_path / f"test.{fmt}", tmp_path / "m.model"
+    (save_dense_csv if fmt == "csv" else save_sparse_svmlight)(train, pool)
+    write_test(test)
+    common = ["--format", fmt, "--solver", "fbpd-reg", "--tol", "1e-3"]
+    assert main(["train", "--data", str(train), "--alpha", "1", "--out", str(model)] + common) == 0
+    argv = (["eval", "--model", str(model), "--data", str(test), "--format", fmt]
+            if command == "eval" else
+            ["sweep", "--data", str(train), "--test", str(test), "--alphas", "1"] + common)
+    return test, argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svmlight"])
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_a_held_out_file_lacking_the_highest_class_is_scored(tmp_path, capsys, command, fmt):
+    # the held-out file is read at the model's (or the pool's) three
+    # classes, not at the two its labels name
+    pool = make_synthetic(3, 4, 30, seed=0)
+    two = pool.subset(np.flatnonzero(pool.labels < 2))
+    save = save_dense_csv if fmt == "csv" else save_sparse_svmlight
+    _, argv = _score_held_out(tmp_path, command, fmt, pool, lambda path: save(path, two))
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("errors 0/20\n" if command == "eval" else "alpha,")
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "1,0.5,1\n4,1,0\n"), ("svmlight", "1 1:0.5\n4 2:1\n")],
+                         ids=["csv", "svmlight"])
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_a_held_out_label_above_the_classes_names_its_line(tmp_path, capsys, command, fmt, text):
+    test, argv = _score_held_out(tmp_path, command, fmt, make_synthetic(3, 2, 30, seed=0),
+                                 lambda path: path.write_text(text))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {test}:2: label 4 exceeds n_classes=3\n")
+
+
 @pytest.mark.parametrize("solver, alpha, name", [("fbpd-con", "1e308", "eta"),
                                                  ("fbpd-reg", "1e-320", "lam")])
 def test_a_finite_alpha_with_an_infinite_parameter_is_one_error_line(tmp_path, capsys, solver,
                                                                      alpha, name):
+    # the error names the option the user set, and for fbpd-con the
+    # sample count that multiplies it, never the config field
     data, model = tmp_path / "d.csv", tmp_path / "m.model"
     save_dense_csv(data, make_synthetic(3, 4, 30, seed=0))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["train", "--data", str(data), "--solver", solver, "--alpha", alpha,
-                     "--out", str(model)])
-    assert (code, capsys.readouterr()) == (
-        1, ("", f"error: this solver needs a finite cfg.{name} > 0, got inf\n"))
-    assert caught == [] and not model.exists()
+    want = {"eta": "error: --alpha 1e+308 times the 30 samples overflows the hinge budget eta\n",
+            "lam": "error: --alpha 1e-320 is too small: lam = 1/alpha overflows\n"}[name]
+    for argv in (["train", "--alpha", alpha, "--out", str(model)],
+                 ["sweep", "--alphas", alpha]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--data", str(data), "--solver", solver])
+        assert (code, capsys.readouterr()) == (1, ("", want))
+        assert caught == [] and not model.exists()

@@ -376,23 +376,24 @@ def test_the_loop_stops_on_the_relative_changes_of_the_full_iterates(monkeypatch
                                         ("l12", "cross-class")])
 @pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
 def test_the_kept_compact_iterate_is_the_gathered_one(monkeypatch, solve, kind, mode):
-    # a screened step after one of the same plan starts from the compact
-    # iterate it kept, not from a gather of x on the plan's columns: the
-    # two must hold the same bits at every such step
+    # a step on a plan after one of the same plan starts from the compact
+    # iterate it kept, not from a gather of x on the plan's columns (the
+    # refresh that made the plan gathers): the two must hold the same bits
+    # at every such step
     ds, norm = _wide(False)
     blocks = None if mode is None else BlockStructure.contiguous(2000, 2, mode=mode)
     cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=400, rel_tol=1e-12, norm_T=norm)
     kept = []
 
-    def screened(self, x, y, y_eff, inner=solvers._Screen._screened):
+    def on_plan(self, x, y, v, inner=solvers._Screen._on_plan):
         if self.xc is not None:
             gathered = x.take(self.plan.flat).reshape(x.shape[0], -1)
             assert self.xc.shape == gathered.shape and self.xc.tobytes() == gathered.tobytes()
             assert self.spare is not self.xc
         kept.append(self.xc is not None)
-        return inner(self, x, y, y_eff)
+        return inner(self, x, y, v)
 
-    monkeypatch.setattr(solvers._Screen, "_screened", screened)
+    monkeypatch.setattr(solvers._Screen, "_on_plan", on_plan)
     report = solve(ds, RegularizerSpec(kind, blocks), cfg)
     assert report.iterations == 400
     assert sum(kept) >= 0.5 * report.iterations and not all(kept)

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from sparsemsvm.evaluate import count_nonzero_groups
 from sparsemsvm.model import BlockStructure, ModelVector, RegularizerSpec
-from sparsemsvm.prox import (dual_norm, project_epigraph_max_rows, project_halfspace_sum,
+from sparsemsvm.prox import (_abs_row_sums, _linf_prox_rows, dual_norm,
+                             project_epigraph_max_rows, project_halfspace_sum,
                              project_l1_ball_rows, project_simplex_rows,
                              prox_regularizer_aug, regularizer_value)
 from test_screen import SCREENED, _shuffled_groups, _unit_columns
@@ -521,6 +522,35 @@ def test_group_layout_matches_per_group_reference(rng, kind, mode):
                     == _reference_value(out.weights, kind, blocks)), name
             assert (count_nonzero_groups(out, spec, 1e-5)
                     == _reference_nonzero_groups(out.weights, blocks, 1e-5)), name
+
+
+def _rows_with_specials(rng, n, s):
+    """n rows of s entries over 16 decades, with a few nan, inf and -inf."""
+    rows = rng.standard_normal((n, s)) * 10.0 ** rng.integers(-8, 8, (n, s))
+    special = rng.random((n, s)) < 0.03
+    rows[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+    return rows
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_the_class_major_row_sums_match_add_reduce_bit_for_bit(rng, s):
+    # rows of fewer than 8 entries are summed down the columns of a
+    # transposed copy; longer ones keep numpy's pairwise sums
+    rows = _rows_with_specials(rng, 301, s)
+    for batch in (rows, rows[::2], rows[:, ::-1], np.asfortranarray(rows)):
+        want = np.add.reduce(np.abs(batch), axis=1)
+        assert _abs_row_sums(batch).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("s", [1, 3, 5, 7, 8, 12])
+def test_an_l1inf_prox_row_that_is_not_finite_stays_not_finite(rng, s):
+    # the divergence guard reads a non-finite iterate from the prox's output
+    rows = _rows_with_specials(rng, 301, s)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _linf_prox_rows(rows, 0.5)
+    bad = ~np.isfinite(rows).all(axis=1)
+    assert bad.any()
+    np.testing.assert_array_equal(~np.isfinite(out).all(axis=1), bad)
 
 
 class TestGroupLayout:

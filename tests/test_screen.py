@@ -43,13 +43,23 @@ def _steepest(spec, G):
     return rows
 
 
+def _top_singular(spec, G, F):
+    """Class rows +-v for the top right singular vector v of the unit's
+    features F, so that each class's part of y_eff moves along the top
+    left singular vector F v / sigma: the direction of the spectral bound.
+    Each sign follows `_steepest`'s row, whose zero rows (per-class norms
+    keep the class of the largest one) stay zero."""
+    v = np.linalg.svd(F, full_matrices=False)[2][0]
+    return np.outer(np.sign(_steepest(spec, G) @ v), v)
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), kind_mode=st.sampled_from(SCREENED),
        csr=st.booleans(), contiguous=st.booleans(), quantile=st.floats(0.0, 1.0),
        reach=st.floats(0.0, 0.999), scale=st.floats(0.2, 5.0),
-       tau=st.floats(1e-3, 10.0), steepest=st.booleans())
+       tau=st.floats(1e-3, 10.0), direction=st.sampled_from(["random", "steepest", "singular"]))
 @settings(max_examples=400, deadline=None)
 def test_a_unit_the_screen_leaves_out_is_an_exact_zero_of_the_full_step(
-        seed, kind_mode, csr, contiguous, quantile, reach, scale, tau, steepest):
+        seed, kind_mode, csr, contiguous, quantile, reach, scale, tau, direction):
     rng = np.random.default_rng(seed)
     K, M, L = int(rng.integers(2, 5)), int(rng.integers(4, 40)), int(rng.integers(2, 12))
     X = rng.standard_normal((L, M))
@@ -77,10 +87,13 @@ def test_a_unit_the_screen_leaves_out_is_an_exact_zero_of_the_full_step(
     assume(delta > 0)
 
     # a dual within delta of it, e = max_k ||E(y - y_ref)_{:,k}|| = reach * delta:
-    # in a random direction, or in the steepest one for the unit with the
-    # least slack above delta, which then sits just above delta, as far as
-    # the bound lets the dual go
-    if steepest:
+    # in a random direction, or for the unit with the least slack above
+    # delta, which then sits just above delta, as far as the bound lets the
+    # dual go: in the direction in which its dual norm grows fastest, or
+    # along its features' top left singular vector (groups only)
+    steered = direction != "random"
+    if steered:
+        assume(direction == "steepest" or spec.blocks is not None)
         reach = 0.999
         above = np.flatnonzero(slack > delta)
         assume(above.size > 0)
@@ -88,7 +101,9 @@ def test_a_unit_the_screen_leaves_out_is_an_exact_zero_of_the_full_step(
         delta = max(delta, 0.999 * float(slack[u]))
         cols = _unit_columns(spec, np.arange(slack.size) == u)
         F = ds.dense_features()[:, cols]
-        e = _steepest(spec, G_ref[:, cols]) @ F.T  # (K, L): class k's move of y_eff
+        G = G_ref[:, cols]
+        rows = _steepest(spec, G) if direction == "steepest" else _top_singular(spec, G, F)
+        e = rows @ F.T  # (K, L): class k's move of y_eff
         e = (e - e.mean(axis=0)).T  # rows of y_eff sum to 0
         step = np.where(np.arange(K) == labels[:, None], 0.0, e)  # E(step) = e
     else:
@@ -102,7 +117,7 @@ def test_a_unit_the_screen_leaves_out_is_an_exact_zero_of_the_full_step(
 
     # a sparse iterate: zero outside a random share of the units
     held = rng.random(slack.size) < rng.random()
-    if steepest:
+    if steered:
         held[u] = False
     x = np.zeros((K, M + 1))
     cols = _unit_columns(spec, held)

@@ -6,7 +6,7 @@ from _frozen import SUBGRADIENT_REFERENCES
 from conftest import (RelChanges, random_dataset, spec_from_record, tiny_dataset,
                       windowed_residual_check)
 from sparsemsvm.evaluate import hinge_sum, predict
-from sparsemsvm.linop import _apply_T_adjoint_aug, features_aug_norm
+from sparsemsvm.linop import _apply_T_adjoint_aug, _effective_dual, features_aug_norm
 from sparsemsvm.model import (BlockStructure, Dataset, ModelVector,
                               RegularizerSpec, make_margin_offsets)
 from sparsemsvm.prox import regularizer_value
@@ -359,18 +359,29 @@ def _screen_case(rng, kind, mode, K, M, contiguous):
 @pytest.mark.parametrize("kind, mode", SCREENED)
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_the_screen_bounds_each_unit_by_its_column_norms(rng, kind, mode, contiguous):
+    # a group's bound is the smaller of the column-norm bound and its top
+    # singular value (times sqrt(size) for l1inf); both scale by K or
+    # sqrt(K) for cross-class groups
     for K in range(2, 6):
         ds, spec = _screen_case(rng, kind, mode, K, 31, contiguous)
-        norms = np.linalg.norm(ds.dense_features(), axis=0)
+        F = ds.dense_features()
+        norms = np.linalg.norm(F, axis=0)
         screen = _Screen(ds, spec, 1.0, 1.0)
         cross = mode == "cross-class"
         want = []
         for u in range(screen.inv_lip.size):
-            n = norms[_unit_columns(spec, np.arange(screen.inv_lip.size) == u)]
+            cols = _unit_columns(spec, np.arange(screen.inv_lip.size) == u)
+            n = norms[cols]
+            if kind == "l1":
+                want.append(n[0])
+                continue
+            top = np.linalg.svd(F[:, cols], compute_uv=False)[0]
             if kind == "l12":
-                want.append(np.sqrt(np.sum(n * n)) * (np.sqrt(K) if cross else 1.0))
+                bound = min(np.sqrt(np.sum(n * n)), top)
+                want.append(bound * (np.sqrt(K) if cross else 1.0))
             else:
-                want.append(np.sum(n) * (K if cross else 1))
+                bound = min(np.sum(n), np.sqrt(cols.size) * top)
+                want.append(bound * (K if cross else 1))
         np.testing.assert_allclose(1.0 / screen.inv_lip, want, rtol=1e-14, atol=0)
 
 
@@ -386,8 +397,8 @@ def test_a_plan_keeps_a_unit_whose_only_weight_is_tiny(rng, kind, mode):
     slack = screen.slack(v / (2 * np.abs(v).max() * M))  # every unit far below 1
     u = int(np.argmax(slack))  # the last unit a plan would keep for its slack
     col = _unit_columns(spec, np.arange(slack.size) == u)[-1]
-    x_new = np.zeros((K, M + 1))
-    x_new[K - 1, col] = 1e-170
-    plan = screen._plan(slack, x_new, y)
+    x = np.zeros((K, M + 1))
+    x[K - 1, col] = 1e-170
+    plan = screen._plan(slack, x, _effective_dual(y, ds))
     assert plan is not None
     assert col in plan.flat % (M + 1)
