@@ -360,29 +360,46 @@ def _screen_case(rng, kind, mode, K, M, contiguous):
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_the_screen_bounds_each_unit_by_its_column_norms(rng, kind, mode, contiguous):
     # a group's bound is the smaller of the column-norm bound and its top
-    # singular value (times sqrt(size) for l1inf); both scale by K or
-    # sqrt(K) for cross-class groups
+    # singular value sigma (times sqrt(size) for l1inf), both times K or
+    # sqrt(K) for cross-class groups; the screen bounds sigma from above,
+    # by at most a factor size^(1/64), so the bound lies between the two
+    # minima taken with sigma and with that multiple of it
+    spectral_wins = 0
     for K in range(2, 6):
         ds, spec = _screen_case(rng, kind, mode, K, 31, contiguous)
         F = ds.dense_features()
         norms = np.linalg.norm(F, axis=0)
         screen = _Screen(ds, spec, 1.0, 1.0)
-        cross = mode == "cross-class"
-        want = []
+        scale = 1.0 if mode != "cross-class" else K if kind == "l1inf" else np.sqrt(K)
+        low, high = [], []
         for u in range(screen.inv_lip.size):
             cols = _unit_columns(spec, np.arange(screen.inv_lip.size) == u)
             n = norms[cols]
             if kind == "l1":
-                want.append(n[0])
+                low.append(n[0])
+                high.append(n[0])
                 continue
             top = np.linalg.svd(F[:, cols], compute_uv=False)[0]
-            if kind == "l12":
-                bound = min(np.sqrt(np.sum(n * n)), top)
-                want.append(bound * (np.sqrt(K) if cross else 1.0))
-            else:
-                bound = min(np.sum(n), np.sqrt(cols.size) * top)
-                want.append(bound * (K if cross else 1))
-        np.testing.assert_allclose(1.0 / screen.inv_lip, want, rtol=1e-14, atol=0)
+            column, c = ((np.sqrt(np.sum(n * n)), 1.0) if kind == "l12"
+                         else (np.sum(n), np.sqrt(cols.size)))
+            low.append(scale * min(column, c * top))
+            high.append(scale * min(column, c * top * cols.size ** (1 / 64)))
+            spectral_wins += c * top * cols.size ** (1 / 64) < column
+        got = 1.0 / screen.inv_lip
+        assert np.all(got >= np.array(low) * (1 - 1e-14))
+        assert np.all(got <= np.array(high) * (1 + 1e-14))
+    assert kind == "l1" or spectral_wins > 0
+
+
+@pytest.mark.parametrize("kind", ["l12", "l1inf"])
+def test_a_group_of_zero_features_never_bounds_its_slack(rng, kind):
+    # its Gram has trace 0: the spectral bound is 0 like the column bound,
+    # without a division warning, and its slack is infinite
+    X = rng.standard_normal((12, 9))
+    X[:, 3:6] = 0.0
+    ds = Dataset.from_arrays(X, np.arange(12) % 3, n_classes=3)
+    screen = _Screen(ds, RegularizerSpec(kind, BlockStructure.contiguous(9, 3)), 1.0, 1.0)
+    np.testing.assert_array_equal(np.isinf(screen.inv_lip), [False, True, False])
 
 
 @pytest.mark.parametrize("kind, mode", SCREENED)
