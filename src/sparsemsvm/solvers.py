@@ -280,9 +280,10 @@ def _unit_bounds(dataset, spec):
     `dual_norm` of the column norms (their sum, or their l2 norm for
     l12). For a group u of s dense features the top singular value
     sigma_u bounds it too, since ||F_u^T d||_1 <= sqrt(s) ||F_u^T d|| <=
-    sqrt(s) sigma_u ||d||: Lip_u is the smaller of the column bound and
-    sqrt(s) sigma_u (l1inf) or sigma_u (l12). Cross-class groups sum or
-    join the K class rows, which multiplies both by K or sqrt(K)."""
+    sqrt(s) sigma_u ||d||: Lip_u is the smaller of the column bound and,
+    with `_group_spectral_norms`'s bound on sigma_u, sqrt(s) times it
+    (l1inf) or itself (l12). Cross-class groups sum or join the K class
+    rows, which multiplies both by K or sqrt(K)."""
     features = dataset.features
     lip = dual_norm(_column_norms(features)[None, :], spec)
     if spec.needs_blocks and not issparse(features):
