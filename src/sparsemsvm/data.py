@@ -3,6 +3,7 @@ standardization, stratified splitting, and synthetic cluster generation."""
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -42,12 +43,14 @@ def _undecodable(path):
 
 
 def _check_label(path, lineno, label, n_classes):
-    """A 1-based label of line `lineno`: at least 1, and at most
-    `n_classes` when that is given."""
+    """A 1-based label of line `lineno`: at least 1, at most `n_classes`
+    when that is given, and within int64, which holds the labels."""
     if label < 1:
         raise DataFormatError(f"{path}:{lineno}: labels must be >= 1")
     if n_classes is not None and label > n_classes:
         raise DataFormatError(f"{path}:{lineno}: label {label} exceeds n_classes={n_classes}")
+    if label > np.iinfo(np.int64).max:
+        raise DataFormatError(f"{path}:{lineno}: label {label} does not fit a 64-bit integer")
 
 
 def load_dense_csv(path, n_classes=None) -> Dataset:
@@ -55,7 +58,52 @@ def load_dense_csv(path, n_classes=None) -> Dataset:
     columns the feature values. Rejects ragged rows, non-numeric or
     non-finite cells and empty files. `n_classes` sets the class count of
     a file whose highest label may fall short of it, and rejects a label
-    above it; by default the highest label sets it."""
+    above it; by default the highest label sets it.
+
+    The file is read in one `np.loadtxt` pass, whose C tokenizer converts
+    each cell with the correctly rounded routine that `float()` calls. A
+    file that pass rejects, or whose result it cannot vouch for as the
+    row loop's, is read again by the loop (`_read_dense_csv_rows`): it
+    alone names the line of every defect, and it alone accepts the
+    spellings that only `float()` or `int()` do (`1_0`, non-ASCII
+    digits)."""
+    read = _read_dense_csv_at_once(path, n_classes)
+    if read is None:
+        read = _read_dense_csv_rows(path, n_classes)
+    feats, labels = read
+    return Dataset.from_arrays(feats, labels, n_classes=n_classes, one_based=True)
+
+
+def _read_dense_csv_at_once(path, n_classes):
+    """The (features, labels) of a dense CSV in one `np.loadtxt` pass, or
+    None when the pass fails or its result is not certainly the row
+    loop's: no row or no feature, a non-finite cell, or a label outside
+    1..`n_classes` or at 2**53 or above, where the float column that
+    holds it stops being exact."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns; the loop reports it as a DataFormatError
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", comments=None, encoding="utf-8",
+                               ndmin=2, converters={0: int})
+    except Exception:
+        # whatever the pass rejects, the loop rejects with its own message
+        # or accepts as float() and int() do
+        return None
+    feats = table[:, 1:]
+    if not feats.size:
+        return None
+    labels = table[:, 0]
+    if not (np.isfinite(feats).all() and labels.min() >= 1 and labels.max() < 2.0 ** 53
+            and (n_classes is None or labels.max() <= n_classes)):
+        return None
+    return np.ascontiguousarray(feats), labels.astype(np.int64)
+
+
+def _read_dense_csv_rows(path, n_classes):
+    """The (features, labels) of a dense CSV, read row by row: each cell
+    parsed as `float()` and each label as `int()` would, each defect a
+    DataFormatError naming `path:line`."""
     labels = []
     rows = []
     linenos = []
@@ -89,7 +137,7 @@ def load_dense_csv(path, n_classes=None) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
         raise DataFormatError(f"{path}:{linenos[bad[0]]}: non-finite feature cell")
-    return Dataset.from_arrays(feats, labels, n_classes=n_classes, one_based=True)
+    return feats, labels
 
 
 def save_dense_csv(path, dataset: Dataset):
@@ -132,11 +180,11 @@ def load_sparse_svmlight(path, n_features=None, n_classes=None) -> Dataset:
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
                     raise DataFormatError(f"{path}:{lineno}: bad token {tok!r}") from None
+                if idx < 1:
+                    raise DataFormatError(f"{path}:{lineno}: indices are 1-based (got {idx})")
                 if idx <= prev:
                     raise DataFormatError(
                         f"{path}:{lineno}: indices must be strictly increasing (got {idx} after {prev})")
-                if idx < 1:
-                    raise DataFormatError(f"{path}:{lineno}: indices are 1-based")
                 prev = idx
                 indices.append(idx - 1)
                 data.append(val)

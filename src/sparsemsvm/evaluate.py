@@ -95,7 +95,8 @@ def objective_value(x: ModelVector | np.ndarray, dataset: Dataset,
 
     With `lam` set (regularized mode) the total is g + lam * hinge_sum;
     in constrained mode (lam None) the total is the g value alone. Raises
-    ValueError when g of finite weights overflows, or the hinge sum does.
+    ValueError when g of finite weights overflows, or the hinge sum or the
+    total does.
     """
     with np.errstate(over="ignore"):
         g = regularizer_value(x, spec)
@@ -103,6 +104,9 @@ def objective_value(x: ModelVector | np.ndarray, dataset: Dataset,
         raise ValueError("the regularizer value is not finite: the model's weights overflow it")
     h = hinge_sum(x, dataset)
     total = g + lam * h if lam is not None else g
+    if not np.isfinite(total):
+        raise ValueError(f"the objective is not finite: lam {lam!r} times the hinge sum {h!r} "
+                         "overflows")
     return ObjectiveValues(g, h, total)
 
 

@@ -629,15 +629,16 @@ def test_sparse_inputs_work_in_a_fresh_process(tmp_path, case, expected):
 # fuzzing the CSV reader through `train`
 
 def _small_labels(content, largest=20):
-    """False when a line's label parses to an integer above `largest`: such a
-    file is valid, and training on that many classes only costs time."""
+    """False when a line's label parses to an integer above `largest` that
+    fits int64: such a file is valid, and training on that many classes
+    only costs time. A label beyond int64 is a data error."""
     try:
         lines = content.decode("utf-8").splitlines()
     except UnicodeDecodeError:
         return True
     for line in lines:
         try:
-            if int(line.strip().split(",")[0]) > largest:
+            if largest < int(line.strip().split(",")[0]) < 2 ** 63:
                 return False
         except ValueError:
             pass
@@ -658,7 +659,7 @@ def _train_on(content):
 
 
 CELL = st.one_of(
-    st.sampled_from(["1", "2", "0.5", "-3e-2", "nan"]),
+    st.sampled_from(["1", "2", "0.5", "-3e-2", "nan", "99999999999999999999999"]),
     st.text(st.sampled_from(list("0123456789.-+eE_xnaifINF \t\x00") + ["\u0661", "\xe9"]),
             max_size=6))
 CSV_TEXT = st.lists(st.lists(CELL, min_size=1, max_size=5), max_size=5).map(
@@ -1282,6 +1283,45 @@ def test_a_held_out_label_above_the_classes_names_its_line(tmp_path, capsys, com
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {test}:2: label 4 exceeds n_classes=3\n")
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "1,0.5\n99999999999999999999999,1\n"),
+                                       ("svmlight", "1 1:0.5\n99999999999999999999999 1:1\n")],
+                         ids=["csv", "svmlight"])
+def test_a_label_beyond_int64_is_one_error_line_naming_its_line(tmp_path, capsys, fmt, text):
+    data = tmp_path / f"d.{fmt}"
+    data.write_text(text)
+    assert main(["train", "--data", str(data), "--format", fmt, "--solver", "fbpd-reg",
+                 "--alpha", "1", "--out", str(tmp_path / "m.model")]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {data}:2: label 99999999999999999999999 does not fit a 64-bit integer\n")
+
+
+def test_an_objective_that_overflows_is_one_error_line(tmp_path, capsys):
+    # g = 3 and the hinge sum 6e9 + 2 are finite; lam times the hinge is not
+    data, model = tmp_path / "d.csv", tmp_path / "m.model"
+    data.write_text("1,1e9,1e9\n1,1e9,1e9\n")
+    save_model(model, PersistedModel(model=ModelVector(np.array([[0.0, 0.0], [1.0, 2.0]]),
+                                                       np.zeros(2)),
+                                     reg_kind="l1", solver="fbpd-reg", alpha=1e-300, lam=1e300))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--model", str(model), "--data", str(data)])
+    assert (code, capsys.readouterr()) == (1, (
+        "", "error: the objective is not finite: lam 1e+300 times the hinge sum 6000000002.0 "
+            "overflows\n"))
+    assert caught == []
+
+
+def test_an_empty_csv_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "e.csv"
+    data.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--solver", "fbpd-reg", "--alpha", "1",
+                     "--out", str(tmp_path / "m.model")])
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {data}: empty file\n"))
+    assert caught == []
 
 
 @pytest.mark.parametrize("solver, alpha, name", [("fbpd-con", "1e308", "eta"),

@@ -1,14 +1,16 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sparsemsvm import data
 from sparsemsvm.data import (DataFormatError, apply_standardize, load_dense_csv,
                              load_sparse_svmlight, load_standardize_stats,
                              make_synthetic, save_dense_csv,
@@ -33,6 +35,16 @@ class TestDenseCsv:
         p.write_text("")
         with pytest.raises(DataFormatError):
             load_dense_csv(p)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \r\n"])
+    def test_an_empty_file_warns_nothing(self, tmp_path, text):
+        p = tmp_path / "e.csv"
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataFormatError, match=r"e\.csv: empty file"):
+                load_dense_csv(p)
+        assert caught == []
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -95,6 +107,78 @@ class TestDenseCsv:
         assert again.n_classes == ds.n_classes
 
 
+# cells of every kind the two CSV reads meet: labels in and out of range
+# (2**53 and above leave the one-pass read, 2**63 and above int64), the
+# spellings that only float() or int() accepts, non-finite and empty cells
+CSV_LABEL = st.one_of(
+    st.integers(1, 3).map(str),
+    st.sampled_from(["0", "-1", "4", " 2 ", "+1", "1_0", "\u0662", "2.0", "x", "", "\ufeff1",
+                     "9007199254740992", "9007199254740993", "9223372036854775807",
+                     "9223372036854775808", "99999999999999999999999"]))
+CSV_ODD_CELL = st.sampled_from([
+    " 1.5", "1_0", "0x10", "", "infinity", "+nan", "1d5", "--1", "1e", "\u0661.\u0665",
+    "4.9e-324", "-0", "nan", "-inf", "1e999", "2.5 ", "\t-3", "\xa07", "1#2", "1 2", "2\x00"])
+CSV_CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-10 ** 20, 10 ** 20).map(str))
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes, n_classes) of a CSV file: rows of one width, with blank,
+    whitespace-only and ragged lines among them, LF or CRLF endings and
+    maybe a byte-order mark; no rows at all makes an empty file."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            n = width if kind == "row" else draw(st.sampled_from([0, width - 1, width + 1]))
+            cells = [draw(CSV_ODD_CELL if draw(st.integers(0, 15)) == 0 else CSV_CELL)
+                     for _ in range(n)]
+            label = draw(CSV_LABEL if draw(st.integers(0, 7)) == 0 else st.integers(1, 3).map(str))
+            lines.append(",".join([label] + cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    return (bom + text).encode("utf-8"), draw(st.one_of(st.none(), st.integers(1, 4)))
+
+
+def _outcome(read):
+    """What a read gives: the dataset's features (bytes, shape and layout),
+    labels and class count, or the message of its DataFormatError."""
+    try:
+        ds = read()
+    except DataFormatError as exc:
+        return str(exc)
+    feats = ds.features
+    return feats.tobytes(), feats.shape, feats.flags.c_contiguous, ds.labels.tolist(), ds.n_classes
+
+
+@given(csv_files())
+@example((b"1,0.5\n9007199254740993,2\n", None))  # read as float, it would be 2**53
+@example((b"9223372036854775807,1\n", None))
+@example((b"1,1\n2,inf\n", None))
+@example((b"\r\n \r\n", None))
+@example((b"3,1\n", 2))
+@example((b"0,1\n", None))
+@settings(max_examples=400, deadline=None)
+def test_the_one_pass_read_is_the_row_loops(file):
+    content, n_classes = file
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = os.path.join(tmp, "x.csv")
+        with open(p, "wb") as fh:
+            fh.write(content)
+        loop = _outcome(lambda: Dataset.from_arrays(*data._read_dense_csv_rows(p, n_classes),
+                                                    n_classes=n_classes, one_based=True))
+        assert _outcome(lambda: load_dense_csv(p, n_classes)) == loop
+
+
 class TestSvmlight:
     def test_single_line(self, tmp_path):
         p = tmp_path / "s.txt"
@@ -115,6 +199,14 @@ class TestSvmlight:
         p = tmp_path / "dec.txt"
         p.write_text("1 3:1.0 2:3.0\n")
         with pytest.raises(DataFormatError):
+            load_sparse_svmlight(p)
+
+    @pytest.mark.parametrize("line", ["1 0:1.5", "1 -2:1.5", "1 2:1.0 0:1.5", "1 2:1.0 -3:1.5"])
+    def test_an_index_below_one_is_not_1_based(self, tmp_path, line):
+        p = tmp_path / "z.txt"
+        p.write_text(f"2 1:1.0\n{line}\n")
+        index = line.split()[-1].split(":")[0]
+        with pytest.raises(DataFormatError, match=rf"^.*z\.txt:2: indices are 1-based \(got {index}\)$"):
             load_sparse_svmlight(p)
 
     def test_bad_token(self, tmp_path):

@@ -120,6 +120,20 @@ def test_block_structure_round_trip(M, size):
     assert 1 <= sizes[-1] <= size
 
 
+@pytest.mark.parametrize("mode", ["per-class", "cross-class"])
+@pytest.mark.parametrize("M, size", [(7129, 5), (12, 4), (13, 4), (14, 4), (3, 7), (5, 5),
+                                     (1, 1), (6, 1)])
+def test_contiguous_blocks_are_the_constructors(M, size, mode):
+    built = BlockStructure.contiguous(M, size, mode=mode)
+    ref = BlockStructure(tuple(np.arange(lo, min(lo + size, M)) for lo in range(0, M, size)),
+                         mode=mode)
+    assert built.mode == mode and len(built.groups) == len(ref.groups)
+    for got, want in zip(built.groups, ref.groups):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    assert built.layout.perm is None and built.layout == ref.layout
+
+
 def test_block_structure_rejects_bad_partition():
     with pytest.raises(ValueError):
         BlockStructure((np.array([0, 1]), np.array([1, 2]))).validate(3)
@@ -127,6 +141,8 @@ def test_block_structure_rejects_bad_partition():
         BlockStructure((np.array([0]),)).validate(2)
     with pytest.raises(ValueError):
         BlockStructure((np.array([0]),), mode="bogus")
+    with pytest.raises(ValueError, match="unknown group mode"):
+        BlockStructure.contiguous(4, 2, mode="bogus")
 
 
 def test_regularizer_spec_validation():
