@@ -215,68 +215,78 @@ class GroupLayout(NamedTuple):
         """The size of every group, in the order of `perm`."""
         return np.repeat([run[2] for run in self.runs], [run[3] for run in self.runs])
 
+    def n_features(self):
+        """The number of features the groups hold, `perm`'s length."""
+        return self.runs[-1][1] if self.runs else 0
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class BlockStructure:
     """Partition of the M weight indices into B disjoint groups.
 
     `mode` selects how the groups apply to the (K, M) weight matrix:
     "per-class" treats group b of every class vector separately (K*B groups
     in total), "cross-class" joins the rows of all classes over the same
-    feature group (B groups of size K*M_b).
+    feature group (B groups of size K*M_b). The groups are stored once,
+    as their `layout`.
     """
 
-    groups: tuple
-    mode: str = "per-class"
+    layout: GroupLayout
+    mode: str
 
-    def __post_init__(self):
-        if self.mode not in GROUP_MODES:
-            raise ValueError(f"unknown group mode {self.mode!r}")
-        groups = tuple(np.asarray(g, dtype=np.int64) for g in self.groups)
-        for g in groups:
-            g.setflags(write=False)
-        object.__setattr__(self, "groups", groups)
+    def __init__(self, groups, mode="per-class"):
+        groups = [np.asarray(g, dtype=np.int64) for g in groups]
+        counts = Counter(g.size for g in groups)
+        rank = {size: r for r, size in enumerate(counts)}
+        order = sorted(range(len(groups)), key=lambda i: rank[groups[i].size])
+        perm = np.concatenate([groups[i] for i in order] or [np.empty(0, np.int64)])
+        runs, lo = [], 0
+        for size, count in counts.items():
+            runs.append((lo, lo + size * count, size, count))
+            lo += size * count
+        self._set(perm, runs, mode)
+
+    def _set(self, perm, runs, mode):
+        """Store the layout of `perm` and `runs` (a `perm` that is the
+        identity is stored as None) and `mode`; returns self."""
+        if mode not in GROUP_MODES:
+            raise ValueError(f"unknown group mode {mode!r}")
+        if perm is not None:
+            if np.array_equal(perm, np.arange(perm.size)):
+                perm = None
+            else:
+                perm.setflags(write=False)
+        object.__setattr__(self, "layout", GroupLayout(perm, tuple(runs)))
+        object.__setattr__(self, "mode", mode)
+        return self
 
     @classmethod
     def contiguous(cls, n_features, size, mode="per-class"):
         """Contiguous runs of `size` indices; the last group may be shorter.
 
-        The groups are read-only views of one `arange`, and the layout is
-        set directly: the identity permutation, with one run of the full
-        groups and one of the short last group."""
+        The layout is set directly: the identity permutation, with one run
+        of the full groups and one of the short last group."""
         if size < 1:
             raise ValueError("block size must be at least 1")
-        if mode not in GROUP_MODES:
-            raise ValueError(f"unknown group mode {mode!r}")
-        index = np.arange(n_features, dtype=np.int64)
-        index.setflags(write=False)
-        groups = tuple(index[lo:lo + size] for lo in range(0, n_features, size))
         full, rest = divmod(n_features, size)
         runs = [(0, full * size, size, full)] if full else []
         if rest:
             runs.append((full * size, n_features, rest, 1))
-        return _prebuilt(groups, mode, GroupLayout(None, tuple(runs)))
+        return object.__new__(cls)._set(None, runs, mode)
+
+    @property
+    def groups(self):
+        """The groups as read-only int64 views of the layout, in its order:
+        equal sizes together, sizes in order of first appearance."""
+        perm, runs = self.layout
+        if perm is None:
+            perm = np.arange(self.layout.n_features(), dtype=np.int64)
+            perm.setflags(write=False)
+        return tuple(g for lo, hi, size, count in runs for g in perm[lo:hi].reshape(count, size))
 
     @property
     def n_groups(self):
-        return len(self.groups)
-
-    @cached_property
-    def layout(self) -> GroupLayout:
-        """The GroupLayout, built on first use and kept on the instance."""
-        counts = Counter(g.size for g in self.groups)
-        rank = {size: r for r, size in enumerate(counts)}
-        order = sorted(range(self.n_groups), key=lambda i: rank[self.groups[i].size])
-        perm = np.concatenate([self.groups[i] for i in order] or [np.empty(0, np.int64)])
-        runs, lo = [], 0
-        for size, count in counts.items():
-            runs.append((lo, lo + size * count, size, count))
-            lo += size * count
-        if np.array_equal(perm, np.arange(perm.size)):
-            perm = None
-        else:
-            perm.setflags(write=False)
-        return GroupLayout(perm, tuple(runs))
+        return sum(run[3] for run in self.layout.runs)
 
     def restrict(self, keep):
         """The groups that `keep` selects, reindexed onto 0..n-1, with the n
@@ -284,48 +294,35 @@ class BlockStructure:
         feature `features[i]` here. `keep` is a boolean mask over the
         groups in layout order, the order in which `layout.perm` holds them.
 
-        The result lists its groups in that order, so its layout is this
-        one's runs less the groups left out; it is derived with array
-        operations, not rebuilt group by group. Returns (features,
-        BlockStructure)."""
+        The result's layout is this one's runs less the groups left out,
+        derived with array operations. Returns (features, BlockStructure)."""
         perm, runs = self.layout
         taken = np.flatnonzero(np.repeat(keep, self.layout.sizes()))
         if perm is None:
-            features, new_perm = taken, np.arange(taken.size)
+            features, new_perm = taken, None
         else:
             kept = perm[taken]
             features = np.sort(kept)
             new_perm = np.searchsorted(features, kept)
-        new_perm.setflags(write=False)
-        groups, new_runs, lo, first = [], [], 0, 0
+        new_runs, lo, first = [], 0, 0
         for _, _, size, count in runs:
             n = int(np.count_nonzero(keep[first:first + count]))
             first += count
             if n:
-                groups.extend(new_perm[lo:lo + n * size].reshape(n, size))
                 new_runs.append((lo, lo + n * size, size, n))
                 lo += n * size
-        if np.array_equal(new_perm, np.arange(new_perm.size)):
-            new_perm = None
-        return features, _prebuilt(tuple(groups), self.mode,
-                                   GroupLayout(new_perm, tuple(new_runs)))
+        return features, object.__new__(type(self))._set(new_perm, new_runs, self.mode)
 
     def validate(self, n_features):
-        """Check the groups are disjoint and cover exactly {0..M-1}."""
-        flat = np.concatenate(self.groups) if self.groups else np.empty(0, dtype=np.int64)
-        if flat.size != n_features or not np.array_equal(np.sort(flat), np.arange(n_features)):
+        """Check the groups are disjoint and cover exactly {0..M-1} (a
+        layout whose `perm` is None holds 0..n-1 for its n features)."""
+        perm = self.layout.perm
+        if perm is None:
+            ok = self.layout.n_features() == n_features
+        else:
+            ok = perm.size == n_features and np.array_equal(np.sort(perm), np.arange(n_features))
+        if not ok:
             raise ValueError("groups must partition the feature indices exactly")
-
-
-def _prebuilt(groups, mode, layout):
-    """The BlockStructure of `groups`, read-only int64 arrays already, with
-    its `layout` given. The constructor's per-group pass is skipped: at 160
-    groups it took 90 us of 130."""
-    blocks = object.__new__(BlockStructure)
-    object.__setattr__(blocks, "groups", groups)
-    object.__setattr__(blocks, "mode", mode)
-    vars(blocks)["layout"] = layout
-    return blocks
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,8 @@ def _relative(move, size):
 
 
 def _rel_change(x_new, x):
-    return _relative(np.linalg.norm(x_new - x), np.linalg.norm(x))
+    d = x_new - x
+    return _relative(math.sqrt(np.vdot(d, d)), math.sqrt(np.vdot(x, x)))
 
 
 def _guard(x_aug, norm, objective, cap):
@@ -136,13 +137,13 @@ def _iterate(step, x0, cfg, callback=None):
     Returns (x, iterations, converged, final relative change).
     """
     x, rel, converged, it, cap = x0, np.inf, False, 0, None
-    norm_x = np.linalg.norm(x0)
+    norm_x = math.sqrt(np.vdot(x0, x0))
     diff = np.empty_like(x0)
     for it in range(1, cfg.max_iter + 1):
         x_new, duals, obj, sizes = step(x)
         if sizes is None:
             np.subtract(x_new, x, out=diff)
-            sizes = np.linalg.norm(diff), np.linalg.norm(x_new)
+            sizes = math.sqrt(np.vdot(diff, diff)), math.sqrt(np.vdot(x_new, x_new))
         move, norm_new = sizes
         rel = _relative(move, norm_x)
         x, norm_x = x_new, norm_new
@@ -416,7 +417,7 @@ class _Screen:
                                       out=self.spare)
         y_hat = _dual_ascent(y, self.sigma, 2.0 * xc_new - xc, plan.dataset, gather=False)
         # x and x_new are zero off C, so their norms are those of C's
-        # entries (the sums np.linalg.norm takes, without its wrapper)
+        # entries (the loop's sums over every entry, less the zeros)
         d = xc_new - xc
         x_new = np.zeros(x.shape)
         # a flat index assignment: the same copy as put, in half its time

@@ -838,6 +838,31 @@ def test_a_good_group_header_evaluates(grouped_model, key, value):
     assert (code, err) == (0, "")
 
 
+def test_a_groups_file_persists_its_groups_in_layout_order(synthetic_files, tmp_path, capsys):
+    # the groups line lists equal sizes together, sizes in order of first
+    # appearance: the file written in that order trains the same bytes, and
+    # a header that keeps the file's own order evaluates to the same output
+    train_p, _ = synthetic_files
+    runs = {}
+    for name, text in (("given", "1 2\n3\n4 5\n6\n"), ("layout", "1 2\n4 5\n3\n6\n")):
+        groups, model = tmp_path / f"{name}.txt", tmp_path / f"{name}.model"
+        groups.write_text(text)
+        code = main(["train", "--data", train_p, "--solver", "fbpd-reg", "--reg", "l1inf",
+                     "--blocks", str(groups), "--alpha", "1", "--tol", "1e-3",
+                     "--out", str(model)])
+        runs[name] = code, capsys.readouterr(), model.read_bytes()
+    assert runs["given"] == runs["layout"] and runs["given"][0] == 0
+    text = runs["given"][2].decode()
+    assert "\ngroups 1 2;4 5;3;6\n" in text
+    old = tmp_path / "old.model"
+    old.write_text(text.replace("\ngroups 1 2;4 5;3;6\n", "\ngroups 1 2;3;4 5;6\n"))
+    evals = []
+    for model in (tmp_path / "given.model", old):
+        code = main(["eval", "--model", str(model), "--data", train_p])
+        evals.append((code, capsys.readouterr()))
+    assert evals[0] == evals[1] and evals[0][0] == 0 and evals[0][1].err == ""
+
+
 def _body(lines):
     """The index of the first row of the parameter block in `lines`."""
     return lines.index("end-header") + 1
@@ -1310,6 +1335,21 @@ def test_an_objective_that_overflows_is_one_error_line(tmp_path, capsys):
     assert (code, capsys.readouterr()) == (1, (
         "", "error: the objective is not finite: lam 1e+300 times the hinge sum 6000000002.0 "
             "overflows\n"))
+    assert caught == []
+
+
+def test_a_dual_that_overflows_is_one_error_line(tmp_path, capsys):
+    # at alpha 1e-300 the dual pair reaches about 1e300 while x stays put,
+    # so the stopping rule takes its norm, which overflows to inf: the run
+    # ends in the divergence error alone, with no numpy warning before it
+    data = tmp_path / "d.csv"
+    save_dense_csv(data, make_synthetic(3, 6, 30, seed=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--solver", "fbpd-reg", "--alpha", "1e-300",
+                     "--max-iter", "3", "--out", str(tmp_path / "m.model")])
+    assert (code, capsys.readouterr()) == (
+        1, ("", "error: diverged: non-finite or runaway iterate\n"))
     assert caught == []
 
 

@@ -9,6 +9,7 @@ from conftest import random_dataset
 from sparsemsvm.linop import _apply_T_aug
 from sparsemsvm.model import (BlockStructure, Dataset, ModelVector,
                               RegularizerSpec, make_margin_offsets)
+from sparsemsvm.persist import decode_groups, encode_groups
 
 
 def test_margin_offsets_spec_cases():
@@ -132,6 +133,47 @@ def test_contiguous_blocks_are_the_constructors(M, size, mode):
         assert got.dtype == np.int64 and not got.flags.writeable
         np.testing.assert_array_equal(got, want)
     assert built.layout.perm is None and built.layout == ref.layout
+    built.validate(M)
+    for wrong in (M - 1, M + 1):
+        with pytest.raises(ValueError, match="groups must partition the feature indices"):
+            built.validate(wrong)
+
+
+def _same_layout(a, b):
+    return a.runs == b.runs and (
+        a.perm is None and b.perm is None
+        or a.perm is not None and b.perm is not None and np.array_equal(a.perm, b.perm))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(1, 40),
+       shape=st.sampled_from(["contiguous", "mixed", "shuffled"]),
+       mode=st.sampled_from(["per-class", "cross-class"]), share=st.sampled_from([None, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_a_structure_is_the_layout_its_groups_build(seed, M, shape, mode, share):
+    # contiguous, mixed-size and shuffled mixed-size groups, and the
+    # structures `restrict` derives from them (share None keeps the whole)
+    rng = np.random.default_rng(seed)
+    if shape == "contiguous":
+        blocks = BlockStructure.contiguous(M, int(rng.integers(1, M + 2)), mode=mode)
+    else:
+        order = rng.permutation(M) if shape == "shuffled" else np.arange(M)
+        cuts = np.sort(rng.choice(np.arange(1, M), size=int(rng.integers(0, M)), replace=False))
+        blocks = BlockStructure(tuple(np.split(order, cuts)), mode=mode)
+    n = M
+    if share is not None:
+        features, blocks = blocks.restrict(rng.random(blocks.n_groups) < share)
+        n = features.size
+    groups = blocks.groups
+    assert blocks.mode == mode and blocks.n_groups == len(groups)
+    assert all(g.dtype == np.int64 and not g.flags.writeable for g in groups)
+    assert _same_layout(BlockStructure(groups, mode).layout, blocks.layout)
+    blocks.validate(n)
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="groups must partition the feature indices"):
+            blocks.validate(wrong)
+    if groups:
+        back = decode_groups(encode_groups(blocks).split(";"), n, mode)
+        assert back.mode == mode and _same_layout(back.layout, blocks.layout)
 
 
 def test_block_structure_rejects_bad_partition():

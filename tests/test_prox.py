@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,11 +337,28 @@ def _interval_crossings(Y, R, heights):
     return thetas, (lower < thetas) & (thetas <= upper)
 
 
+def _exact_threshold(s, height):
+    """The exact height (height + s_1 + ... + s_j) / (j + 1) of the
+    projection of a row outside the epigraph, for the floats s = y + r in
+    descending order and the first j whose height is at least s_{j+1}."""
+    s = sorted(map(Fraction, s), reverse=True)
+    total = Fraction(height)
+    for j, top in enumerate(s, start=1):
+        total += top
+        theta = total / (j + 1)
+        if j == len(s) or theta >= s[j]:
+            return theta
+
+
 @given(epigraph_rows(NORMAL_ENTRY))
 # two crossings pass the interval test: the mean of all six entries rounds
 # onto the smallest of them, and the exact height takes the largest alone
 @example((np.full((1, 6), -2.67047712e-16), np.array([[1.0, 0.5, 0.5, 0.5, 0.5, 0.5]]),
           np.array([0.0]), np.array([False])))
+# the reference rounds height + 2.5 to 2.5 and returns 0.5; the projection
+# returns the float below, the one nearest the exact (2.5 - 2^-52) / 5
+@example((np.zeros((1, 4)), np.array([[1.0, 0.5, 0.5, 0.5]]),
+          np.array([-2.0 ** -52]), np.array([False])))
 @settings(max_examples=500, deadline=None)
 def test_epigraph_matches_the_iteration_reference(rows):
     # the iteration tests' reference picks the crossing by its interval
@@ -349,7 +367,9 @@ def test_epigraph_matches_the_iteration_reference(rows):
     # and the two tests may pick neighbouring floats (or crossings), as
     # they may where the means of subnormals round to a few values. Where
     # rounding lets the interval test accept more than one crossing, the
-    # reference takes the first, and the projection must take one of them
+    # reference takes the first, and the projection must take one of them.
+    # Any other row where the two differ is the reference's rounding: the
+    # projection's height must then lie within an ulp of the exact one
     from test_iteration import _ref_epigraph
 
     Y, R, heights, adjacent = rows
@@ -359,7 +379,12 @@ def test_epigraph_matches_the_iteration_reference(rows):
     inside = (Y + R).max(axis=1) <= heights
     several = (accepted.sum(axis=1) > 1) & ~inside & ~adjacent
     keep = ~adjacent & ~several
-    assert _same_bits(P[keep], ref_P[keep]) and _same_bits(theta[keep], ref_theta[keep])
+    for i in np.flatnonzero(keep):
+        if not (_same_bits(P[i], ref_P[i]) and _same_bits(theta[i], ref_theta[i])):
+            assert not inside[i]
+            exact = _exact_threshold(Y[i] + R[i], heights[i])
+            assert abs(Fraction(theta[i]) - exact) <= Fraction(np.spacing(abs(theta[i])))
+            assert _same_bits(P[i], np.minimum(Y[i], theta[i] - R[i]))
     ulps = 2 * np.spacing(np.abs(heights))
     assert np.all(np.abs(theta - ref_theta)[adjacent] <= ulps[adjacent])
     for i in np.flatnonzero(several):
@@ -570,7 +595,7 @@ class TestGroupLayout:
         spec = RegularizerSpec("l1inf", blocks)
         aug = rng.standard_normal((2, 13))
         prox_regularizer_aug(aug, spec, 0.5)
-        first = blocks.__dict__["layout"]
+        first = blocks.layout
         prox_regularizer_aug(aug, spec, 0.5)
         assert blocks.layout is first
         assert blocks.layout is blocks.layout
