@@ -113,62 +113,67 @@ def _guard(x_aug, norm, objective, cap):
         raise DivergenceError(f"diverged: objective={objective!r}")
 
 
-def _iterate(step, x0, cfg, callback=None):
-    """The iteration loop shared by every solver.
+def _iterate(step, z0, cfg, callback=None):
+    """The iteration loop shared by every solver, owner of its state z: a
+    tuple (x, y) for `fbpd-reg`, (x, y, xi, zeta) for `fbpd-con`, (x,) for
+    the smooth solvers, whose momentum stays in their step.
 
-    `step(x) -> (x_new, duals, obj, sizes)` advances one iteration and
-    keeps any dual or momentum state in its closure. x_new must be a fresh
-    array, since callers may keep every iterate. `duals` holds the (new,
-    old) array pairs of the dual state, empty for the smooth solvers; the
-    stopping rule reads their largest `_rel_change` only when x did not
-    move. `obj` is the objective at x_new when the step computes it anyway
-    (the FISTA steps), else None. `sizes` is None, or the pair (||x_new - x||,
-    ||x_new||) when the step has it for less than the loop's passes over
-    every entry: a screened primal-dual step takes it from the columns it
-    ran on, since x and x_new are zero off them (the same norms, their
-    sums run over fewer zeros). The loop owns the relative change, the
-    divergence guard, the callback and the stopping rule; the norm of
-    x_new serves the guard and, one iteration later, the relative change.
+    `step(z) -> (z_new, obj, sizes)` advances one iteration and must not
+    change z. The iterate x_new = z_new[0] must be a fresh array, since
+    callers may keep every iterate. `obj` is the objective at x_new when
+    the step computes it anyway (the FISTA steps), else None. `sizes` is
+    None, or the pair (||x_new - x||, ||x_new||) when the step has it for
+    less than the loop's passes over every entry: a screened primal-dual
+    step takes it from the columns it ran on, since x and x_new are zero
+    off them (the same norms, their sums run over fewer zeros). The loop
+    owns the relative change, the divergence guard, the callback and the
+    stopping rule; the norm of x_new serves the guard and, one iteration
+    later, the relative change. When x did not move, the stopping rule
+    reads the largest `_rel_change` of the other entries of the state; it
+    is decided before z is rebound, so no earlier state outlives the step.
     `callback(it, x)` sees every iterate the guard passed and must not
     change it. The objective cap applies to the steps that hand an
     objective: OBJECTIVE_CAP times the first one (at least 1), so a large
     `lam * loss` at the start is not mistaken for divergence.
 
-    Returns (x, iterations, converged, final relative change).
+    Returns (z, iterations, converged, final relative change).
     """
-    x, rel, converged, it, cap = x0, np.inf, False, 0, None
-    norm_x = math.sqrt(np.vdot(x0, x0))
-    diff = np.empty_like(x0)
+    z, rel, converged, it, cap = z0, np.inf, False, 0, None
+    norm_x = math.sqrt(np.vdot(z0[0], z0[0]))
+    diff = np.empty_like(z0[0])
     for it in range(1, cfg.max_iter + 1):
-        x_new, duals, obj, sizes = step(x)
+        z_new, obj, sizes = step(z)
         if sizes is None:
-            np.subtract(x_new, x, out=diff)
-            sizes = math.sqrt(np.vdot(diff, diff)), math.sqrt(np.vdot(x_new, x_new))
+            np.subtract(z_new[0], z[0], out=diff)
+            sizes = math.sqrt(np.vdot(diff, diff)), math.sqrt(np.vdot(z_new[0], z_new[0]))
         move, norm_new = sizes
         rel = _relative(move, norm_x)
-        x, norm_x = x_new, norm_new
-        if cap is None and obj is not None:
-            cap = OBJECTIVE_CAP * max(1.0, abs(obj))
-        _guard(x, norm_x, obj, cap)
-        if callback is not None:
-            callback(it, x)
         # a bit-exact frozen primal only counts as converged once the dual
         # is stationary too (prox can pin x while y still warms up)
-        if rel <= cfg.rel_tol and (
-                rel > 0.0 or max((_rel_change(*p) for p in duals), default=0.0) <= cfg.rel_tol):
-            converged = True
+        converged = rel <= cfg.rel_tol and (
+            rel > 0.0 or max(map(_rel_change, z_new[1:], z[1:]), default=0.0) <= cfg.rel_tol)
+        z, norm_x = z_new, norm_new
+        if cap is None and obj is not None:
+            cap = OBJECTIVE_CAP * max(1.0, abs(obj))
+        _guard(z[0], norm_x, obj, cap)
+        if callback is not None:
+            callback(it, z[0])
+        if converged:
             break
-    return x, it, converged, rel if it else 0.0
+    return z, it, converged, rel if it else 0.0
 
 
-def _report(run, dataset, spec, lam=None, eta=None, dual_y=None):
+def _report(run, dataset, spec, lam=None, eta=None):
     """Build the SolveReport of an `_iterate` result.
 
+    The model is the first entry of the final state, the dual iterate y
+    its second (None for the smooth solvers, whose state is x alone).
     `lam` None is the constrained formulation: the objective is g alone
     and, with `eta` set, the report carries the hinge budget violation.
     The squared-l2 penalty with a dual iterate also gets its Fenchel gap.
     """
-    x, it, converged, rel = run
+    z, it, converged, rel = run
+    x, dual_y = z[0], (z[1] if len(z) > 1 else None)
     obj = objective_value(x, dataset, spec, lam)
     report = SolveReport(model=ModelVector.from_augmented(x), iterations=it,
                          converged=converged, final_rel_change=rel,
@@ -326,14 +331,15 @@ class _Screen:
     steps' up to rounding, which differs only in the sums over the columns.
     A refresh takes its T^T y on C from the full one; a later step on C
     does no work that grows with M but for the fresh iterate it zero-fills:
-    it starts from the compact iterate on C that the previous step kept,
-    E(y) serves both the test of e and T^T y, T on C takes its GEMM without
-    probing for zero columns (C holds the units in use and those nearest to
-    it), and the norms of x_new and of its move come from C's entries. The
-    first step with e >= delta is a refresh again. A refresh is a full step
-    only where no plan forms: when C would hold all units or exceed
-    SCREEN_MAX_SHARE of the columns. l2sq zeroes no weight and is never
-    screened.
+    handed the very x_new of the previous step on the plan (`x is
+    x_last`), it starts from the compact iterate on C that step kept (any
+    other x it gathers on C), E(y) serves both the test of e and T^T y, T
+    on C takes its GEMM without probing for zero columns (C holds the units
+    in use and those nearest to it), and the norms of x_new and of its move
+    come from C's entries. The first step with e >= delta is a refresh
+    again. A refresh is a full step only where no plan forms: when C would
+    hold all units or exceed SCREEN_MAX_SHARE of the columns. l2sq zeroes
+    no weight and is never screened.
     """
 
     def __init__(self, dataset, spec, tau, sigma):
@@ -341,9 +347,10 @@ class _Screen:
         K, M = dataset.n_classes, dataset.n_features
         self.ext = np.empty((K, M + 1))
         self.plan = None
-        # the compact iterate of the last step on a plan (None before the
-        # first) and the spare buffer the next one writes its prox into
-        self.xc = self.spare = None
+        # the x_new and compact iterate of the last step on the plan (None
+        # before the first) and the spare buffer the next one writes its
+        # prox into
+        self.x_last = self.xc = self.spare = None
         self.max_cols = SCREEN_MAX_SHARE * M
         self.screens = spec.kind != "l2sq"
         if not self.screens:
@@ -393,7 +400,7 @@ class _Screen:
 
     def _refresh(self, x, y, y_eff):
         v = _apply_T_adjoint_aug(y, self.dataset, y_eff=y_eff)
-        self.xc = self.spare = None
+        self.x_last = self.xc = self.spare = None
         self.plan = self._plan(self.slack(v), x, y_eff) if self.screens else None
         if self.plan is not None:
             return self._on_plan(x, y, v.take(self.plan.flat).reshape(x.shape[0], -1))
@@ -408,11 +415,7 @@ class _Screen:
     def _on_plan(self, x, y, v):
         """The step on the plan's columns C, from v = T^T y on C."""
         plan = self.plan
-        # x is the last step's x_new: after a step on this plan its entries
-        # on C are that step's compact iterate, kept
-        xc = self.xc
-        if xc is None:
-            xc = x.take(plan.flat).reshape(x.shape[0], -1)
+        xc = self.xc if x is self.x_last else x.take(plan.flat).reshape(x.shape[0], -1)
         xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau,
                                       out=self.spare)
         y_hat = _dual_ascent(y, self.sigma, 2.0 * xc_new - xc, plan.dataset, gather=False)
@@ -422,7 +425,7 @@ class _Screen:
         x_new = np.zeros(x.shape)
         # a flat index assignment: the same copy as put, in half its time
         x_new.reshape(-1)[plan.flat] = xc_new.reshape(-1)
-        self.xc, self.spare = xc_new, xc
+        self.x_last, self.xc, self.spare = x_new, xc_new, xc
         return x_new, y_hat, (math.sqrt(np.vdot(d, d)), math.sqrt(np.vdot(xc_new, xc_new)))
 
 
@@ -440,19 +443,14 @@ def solve_regularized_fbpd(dataset: Dataset, spec: RegularizerSpec,
     K, M, L = dataset.n_classes, dataset.n_features, dataset.n_samples
     tau = sigma = 1.0 / max(_norm_T(dataset, cfg), 1e-8)  # tau*sigma*||T||^2 <= 1
     sigma_r = sigma * make_margin_offsets(dataset)
-    y = np.zeros((L, K))
     primal = _Screen(dataset, spec, tau, sigma)
 
-    def step(x):
-        nonlocal y
-        x_new, y_hat, sizes = primal(x, y)
-        y_new = project_simplex_rows(np.add(y_hat, sigma_r, out=y_hat), lam)
-        duals = ((y_new, y),)
-        y = y_new
-        return x_new, duals, None, sizes
+    def step(z):
+        x_new, y_hat, sizes = primal(*z)
+        return (x_new, project_simplex_rows(np.add(y_hat, sigma_r, out=y_hat), lam)), None, sizes
 
-    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
-    return _report(run, dataset, spec, lam=lam, dual_y=y)
+    run = _iterate(step, (np.zeros((K, M + 1)), np.zeros((L, K))), cfg, callback)
+    return _report(run, dataset, spec, lam=lam)
 
 
 def _l2sq_dual_gap(x_aug, y, dataset, primal):
@@ -485,24 +483,20 @@ def solve_constrained_fbpd(dataset: Dataset, spec: RegularizerSpec,
     # the (x, zeta) operator diag(T, I) has norm max(||T||, 1)
     tau = sigma = 1.0 / max(_norm_T(dataset, cfg), 1.0)
     r = make_margin_offsets(dataset)
-    zeta = np.zeros(L)
-    y = np.zeros((L, K))
-    xi = np.zeros(L)
     primal = _Screen(dataset, spec, tau, sigma)
 
-    def step(x):
-        nonlocal zeta, y, xi
+    def step(z):
+        x, y, xi, zeta = z
         x_new, y_hat, sizes = primal(x, y)
         zeta_new = project_halfspace_sum(zeta - tau * xi, eta)
         xi_hat = xi + sigma * (2.0 * zeta_new - zeta)
         y_tilde, xi_tilde = project_epigraph_max_rows(y_hat / sigma, r, xi_hat / sigma)
-        y_new, xi_new = _moreau(y_hat, sigma, y_tilde), _moreau(xi_hat, sigma, xi_tilde)
-        duals = ((y_new, y), (xi_new, xi), (zeta_new, zeta))
-        zeta, y, xi = zeta_new, y_new, xi_new
-        return x_new, duals, None, sizes
+        return (x_new, _moreau(y_hat, sigma, y_tilde), _moreau(xi_hat, sigma, xi_tilde),
+                zeta_new), None, sizes
 
-    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
-    return _report(run, dataset, spec, eta=eta, dual_y=y)
+    run = _iterate(step, (np.zeros((K, M + 1)), np.zeros((L, K)), np.zeros(L), np.zeros(L)),
+                   cfg, callback)
+    return _report(run, dataset, spec, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +537,9 @@ def _fista(x0, loss_grad, spec, gamma, cfg, callback=None):
     v, t = x0, 1.0
     obj_x = loss_grad(x0)[0] + regularizer_value(x0, spec)
 
-    def step(x):
+    def step(z):
         nonlocal v, t, obj_x
+        x, = z
         _, grad_v = loss_grad(v)
         x_new = prox_regularizer_aug(v - gamma * grad_v, spec, gamma)
         obj_new = loss_grad(x_new)[0] + regularizer_value(x_new, spec)
@@ -556,9 +551,9 @@ def _fista(x0, loss_grad, spec, gamma, cfg, callback=None):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         v = x_new + ((t - 1.0) / t_new) * (x_new - x)
         t, obj_x = t_new, obj_new
-        return x_new, (), obj_new, None
+        return (x_new,), obj_new, None
 
-    return _iterate(step, x0, cfg, callback)
+    return _iterate(step, (x0,), cfg, callback)
 
 
 def solve_square_fista(dataset: Dataset, spec: RegularizerSpec,
@@ -587,12 +582,12 @@ def solve_logistic_fb(dataset: Dataset, spec: RegularizerSpec,
     r = make_margin_offsets(dataset)
     gamma = 1.0 / max(lam * normT ** 2, 1e-12)
 
-    def step(x):
+    def step(z):
+        x, = z
         _, grad = _logistic_loss_grad(x, dataset, r, lam)
-        x_new = prox_regularizer_aug(x - gamma * grad, spec, gamma)
-        return x_new, (), None, None
+        return (prox_regularizer_aug(x - gamma * grad, spec, gamma),), None, None
 
-    run = _iterate(step, np.zeros((K, M + 1)), cfg, callback)
+    run = _iterate(step, (np.zeros((K, M + 1)),), cfg, callback)
     return _report(run, dataset, spec, lam=lam)
 
 

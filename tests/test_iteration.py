@@ -11,8 +11,10 @@ where `T` skips the iterate's zero weight columns or a step runs on the
 screen's columns alone, which sum in another order.
 """
 
+import copy
 import functools
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -399,6 +401,62 @@ def test_the_kept_compact_iterate_is_the_gathered_one(monkeypatch, solve, kind, 
     assert sum(kept) >= 0.5 * report.iterations and not all(kept)
 
 
+@pytest.mark.parametrize("kind, mode", [("l1", None), ("l1inf", "per-class")])
+def test_the_screen_gathers_an_x_it_did_not_return(kind, mode):
+    # handed an earlier iterate in place of the x_new of its last step on
+    # the plan, as a Halpern step would be, the screen must start from a
+    # gather of that x, not from the compact iterate it kept
+    ds, norm = _wide(False)
+    blocks = None if mode is None else BlockStructure.contiguous(2000, 2, mode=mode)
+    tau = sigma = 1.0 / norm
+    screen = solvers._Screen(ds, RegularizerSpec(kind, blocks), tau, sigma)
+    sigma_r = sigma * make_margin_offsets(ds)
+    xs = [np.zeros((ds.n_classes, ds.n_features + 1))]
+    y = np.zeros((ds.n_samples, ds.n_classes))
+    # fbpd-reg's steps, up to one whose successor stays on the plan
+    while len(xs) < 20 or screen.xc is None or not screen._within(
+            linop._effective_dual(y, ds)):
+        assert len(xs) < 400
+        x_new, y_hat, _ = screen(xs[-1], y)
+        xs.append(x_new)
+        y = project_simplex_rows(y_hat + sigma_r, 1.0)
+    earlier, plan = xs[-2], screen.plan
+    assert not np.array_equal(earlier.take(plan.flat), screen.xc.reshape(-1))
+    gathering = copy.deepcopy(screen)
+    gathering.x_last = gathering.xc = gathering.spare = None  # it kept nothing
+    got, want = screen(earlier, y), gathering(earlier, y)
+    assert screen.plan is plan  # a step on the plan, not a refresh
+    for a, b in zip(got[:2], want[:2]):
+        assert a.tobytes() == b.tobytes()
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
+def test_no_earlier_iterate_outlives_the_step(monkeypatch, solve):
+    # neither the loop nor the screen holds iterate k once step k + 1 is
+    # taken, through screened steps and the full-width steps between them
+    ds, norm = _wide(False)
+    spec = RegularizerSpec("l1inf", BlockStructure.contiguous(2000, 2, mode="per-class"))
+    cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=400, rel_tol=1e-12, norm_T=norm)
+    on_plan, seen, last = [], [], []
+
+    def count(self, x, y, v, inner=solvers._Screen._on_plan):
+        on_plan.append(None)
+        return inner(self, x, y, v)
+
+    def watch(it, x):
+        assert not last or last[0]() is None, f"iterate {it - 1} is alive at {it}"
+        last[:] = [weakref.ref(x)]
+        seen.append(len(on_plan))
+
+    monkeypatch.setattr(solvers._Screen, "_on_plan", count)
+    report = solve(ds, spec, cfg, callback=watch)
+    assert report.iterations == 400
+    screened = np.diff(seen, prepend=0) > 0
+    assert screened.sum() >= 0.5 * report.iterations
+    assert np.any(screened[:-1] & ~screened[1:])  # a full-width step after a screened one
+
+
 def test_frozen_primal_waits_for_the_dual_as_the_reference_does():
     # with this slack budget x stops moving bit for bit before the duals
     # do: the first iteration with a zero relative change of x reads a
@@ -477,16 +535,32 @@ def test_kept_screened_iterates_are_not_overwritten(monkeypatch, solve):
 # ---------------------------------------------------------------------------
 # the divergence guard
 
-def _run(iterates, objectives=None, max_iter=None):
-    """Drive `_iterate` with a stub step that hands out `iterates` in turn."""
-    seq = iter(zip(iterates, objectives or [None] * len(iterates)))
+def _run(iterates, objectives=None, max_iter=None, duals=None):
+    """Drive `_iterate` with a stub step that hands out `iterates` in turn,
+    each in the state (x, d) with its entry d of `duals` when given."""
+    seq = iter(zip(iterates, objectives or [None] * len(iterates),
+                   [None] * len(iterates) if duals is None else duals))
 
-    def step(x):
-        x_new, obj = next(seq)
-        return np.array(x_new, dtype=float), (), obj, None
+    def step(z):
+        x_new, obj, d = next(seq)
+        z_new = (np.array(x_new, dtype=float),)
+        return z_new if d is None else z_new + (np.array(d, dtype=float),), obj, None
 
     cfg = SolverConfig(max_iter=max_iter or len(iterates), rel_tol=0.0)
-    return _iterate(step, np.zeros(4), cfg)
+    z0 = (np.zeros(4),) if duals is None else (np.zeros(4), np.zeros(np.shape(duals[0])))
+    (x, *_), it, converged, rel = _iterate(step, z0, cfg)
+    return x, it, converged, rel
+
+
+@pytest.mark.parametrize("duals, iterations, converged", [
+    ([[1.0], [2.0], [3.0]], 3, False),
+    ([[1.0], [1.0], [1.0]], 2, True),
+])
+def test_a_frozen_primal_stops_only_with_a_frozen_dual(duals, iterations, converged):
+    # x moves off zero at the first step, then holds still bit for bit
+    x = [1.0, 2.0, 3.0, 4.0]
+    _, it, stopped, rel = _run([x, x, x], duals=duals)
+    assert (it, stopped, rel) == (iterations, converged, 0.0)
 
 
 BIG = 0.9 * OBJECTIVE_CAP

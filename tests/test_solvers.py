@@ -196,8 +196,8 @@ def _per_class_one_vs_all(ds, spec, cfg):
             gw = np.asarray(ds.features.T @ coeff).ravel()
             return lam * float((gap ** 2).sum()), np.append(gw, coeff.sum())[None, :]
 
-        xb, _, converged, _ = _fista(np.zeros((1, ds.n_features + 1)),
-                                    loss_grad, spec, gamma, cfg)
+        (xb,), _, converged, _ = _fista(np.zeros((1, ds.n_features + 1)),
+                                       loss_grad, spec, gamma, cfg)
         assert converged
         total += loss_grad(xb)[0] + regularizer_value(xb, spec)
         losses.append(loss_grad)
