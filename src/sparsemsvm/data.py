@@ -53,12 +53,25 @@ def _check_label(path, lineno, label, n_classes):
         raise DataFormatError(f"{path}:{lineno}: label {label} does not fit a 64-bit integer")
 
 
+def _classes_fit(n_classes, n_samples, n_features):
+    """Whether a solve's (K, M+1) and (L, K) float arrays fit the address space."""
+    return n_classes * max(n_samples, n_features + 1) * 8 <= np.iinfo(np.intp).max
+
+
+def _check_class_count(path, labels, linenos, n_features):
+    """DataFormatError at the highest label when its class count fails `_classes_fit`."""
+    top = max(labels)
+    if not _classes_fit(top, len(labels), n_features):
+        raise DataFormatError(f"{path}:{linenos[labels.index(top)]}: label {top} sets more "
+                              f"classes than {len(labels)} samples of {n_features} features allow")
+
+
 def load_dense_csv(path, n_classes=None) -> Dataset:
     """Dense CSV: first column an integer 1-based label, the remaining M
     columns the feature values. Rejects ragged rows, non-numeric or
     non-finite cells and empty files. `n_classes` sets the class count of
     a file whose highest label may fall short of it, and rejects a label
-    above it; by default the highest label sets it.
+    above it; by default the highest label sets it (`_check_class_count`).
 
     The file is read in one `np.loadtxt` pass, whose C tokenizer converts
     each cell with the correctly rounded routine that `float()` calls. A
@@ -77,9 +90,9 @@ def load_dense_csv(path, n_classes=None) -> Dataset:
 def _read_dense_csv_at_once(path, n_classes):
     """The (features, labels) of a dense CSV in one `np.loadtxt` pass, or
     None when the pass fails or its result is not certainly the row
-    loop's: no row or no feature, a non-finite cell, or a label outside
-    1..`n_classes` or at 2**53 or above, where the float column that
-    holds it stops being exact."""
+    loop's: no row or no feature, a non-finite cell, a label outside
+    1..`n_classes` (or failing `_classes_fit`) or at 2**53 or above, where
+    the float column that holds it stops being exact."""
     try:
         with warnings.catch_warnings():
             # an empty file warns; the loop reports it as a DataFormatError
@@ -95,7 +108,8 @@ def _read_dense_csv_at_once(path, n_classes):
         return None
     labels = table[:, 0]
     if not (np.isfinite(feats).all() and labels.min() >= 1 and labels.max() < 2.0 ** 53
-            and (n_classes is None or labels.max() <= n_classes)):
+            and (n_classes is None or labels.max() <= n_classes)
+            and (n_classes is not None or _classes_fit(int(labels.max()), *feats.shape))):
         return None
     return np.ascontiguousarray(feats), labels.astype(np.int64)
 
@@ -133,6 +147,8 @@ def _read_dense_csv_rows(path, n_classes):
             linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
+    if n_classes is None:
+        _check_class_count(path, labels, linenos, len(rows[0]))
     feats = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
     if bad.size:
@@ -157,7 +173,7 @@ def load_sparse_svmlight(path, n_features=None, n_classes=None) -> Dataset:
     `n_features` and `n_classes` set the width and the class count of a
     file whose highest index or label may fall short of them (an index or
     label above them is an error); by default the file's highest ones set
-    them."""
+    them (`_check_class_count`)."""
     labels = []
     linenos = []
     data, indices, indptr = [], [], [0]
@@ -201,6 +217,8 @@ def load_sparse_svmlight(path, n_features=None, n_classes=None) -> Dataset:
     M = n_features if n_features is not None else max_idx
     if max_idx > M:
         raise DataFormatError(f"{path}: index {max_idx} exceeds n_features={M}")
+    if n_classes is None:
+        _check_class_count(path, labels, linenos, M)
     import scipy.sparse as sp
     feats = sp.csr_matrix((data, indices, indptr), shape=(len(labels), M))
     return Dataset.from_arrays(feats, labels, n_classes=n_classes, one_based=True)

@@ -39,23 +39,11 @@ class NormEstimate(NamedTuple):
         return self.value
 
 
-# Largest share of the M weight columns holding a nonzero for which dense
-# features take T over those columns alone. The gathered product costs
-# O(L*n) to gather n columns plus a GEMM over them; the full GEMM does not
-# depend on n. Measured with one BLAS thread at L=38-40: at K=3 the two break
-# even near M/10 (M=7129 and M=2000), at K=10 the gathered product still
-# won at M/6 (M=2000) and M/4 (M=7129).
-ACTIVE_COLUMNS_MAX_SHARE = 0.1
-
-
-def _scores_aug(x_aug, dataset, *, gather=True):
+def _scores_aug(x_aug, dataset):
     """Per-class scores phi~(u_l)^T x^(k) for every sample, shape (L, K).
 
-    Dense features skip the weight columns that are all zero, the sparse
-    iterates' common case, when `gather` is set and at most
-    ACTIVE_COLUMNS_MAX_SHARE of them hold a nonzero; otherwise they take
-    the product as (W @ features^T)^T, the faster GEMM orientation for a
-    few class rows. Either result is C-ordered like the CSR product, so
+    Dense features take the product as (W @ features^T)^T, the faster GEMM
+    orientation for a few class rows, C-ordered like the CSR product, so
     row reductions downstream sum in one order.
     """
     W = x_aug[:, :-1]
@@ -63,24 +51,14 @@ def _scores_aug(x_aug, dataset, *, gather=True):
     feats = dataset.features
     if issparse(feats):
         return feats @ W.T + b
-    cap = int(ACTIVE_COLUMNS_MAX_SHARE * W.shape[1])
-    # row 0 nonzero in all of its first cap + 1 entries puts more than cap
-    # columns in use: that settles a dense iterate in about 1.5 us, without
-    # the scan of all M, 14 us against a 95-115 us full GEMM at K=3,
-    # M=7129, L=38 with one BLAS thread
-    if gather and np.count_nonzero(W[0, :cap + 1]) <= cap:
-        active = np.flatnonzero(W.any(axis=0))
-        if active.size <= cap:
-            return np.take(feats, active, axis=1) @ W[:, active].T + b
     return np.add((W @ feats.T).T, b, order="C")
 
 
-def _apply_T_aug(x_aug, dataset, *, gather=True):
+def _apply_T_aug(x_aug, dataset):
     """Margins y(l, k) = phi~(u_l)^T (x^(k) - x^(z_l)) of the (K, M+1)
     augmented array x_aug, as an (L, K) array whose column z_l of row l is
-    exactly zero. `gather=False` takes the full product at once, for a
-    caller whose columns are mostly in use (see `_scores_aug`)."""
-    scores = _scores_aug(x_aug, dataset, gather=gather)
+    exactly zero."""
+    scores = _scores_aug(x_aug, dataset)
     own = scores.take(dataset.own_index)
     # own-class column is an exact 0: identical floats subtracted
     return scores - own[:, None]

@@ -130,7 +130,7 @@ def _iterate(step, z0, cfg, callback=None):
     stopping rule; the norm of x_new serves the guard and, one iteration
     later, the relative change. When x did not move, the stopping rule
     reads the largest `_rel_change` of the other entries of the state; it
-    is decided before z is rebound, so no earlier state outlives the step.
+    is decided before z is rebound, so no earlier state (z0 too) outlives the step.
     `callback(it, x)` sees every iterate the guard passed and must not
     change it. The objective cap applies to the steps that hand an
     objective: OBJECTIVE_CAP times the first one (at least 1), so a large
@@ -141,6 +141,7 @@ def _iterate(step, z0, cfg, callback=None):
     z, rel, converged, it, cap = z0, np.inf, False, 0, None
     norm_x = math.sqrt(np.vdot(z0[0], z0[0]))
     diff = np.empty_like(z0[0])
+    del z0
     for it in range(1, cfg.max_iter + 1):
         z_new, obj, sizes = step(z)
         if sizes is None:
@@ -209,10 +210,9 @@ def _ascend(v, sigma, t):
     return np.add(v, t, out=t)
 
 
-def _dual_ascent(y, sigma, x_bar, dataset, *, gather=True):
-    """y + sigma * T x_bar, computed in T's fresh output (`gather` as in
-    `_apply_T_aug`)."""
-    return _ascend(y, sigma, _apply_T_aug(x_bar, dataset, gather=gather))
+def _dual_ascent(y, sigma, x_bar, dataset):
+    """y + sigma * T x_bar, computed in T's fresh output."""
+    return _ascend(y, sigma, _apply_T_aug(x_bar, dataset))
 
 
 def _moreau(v_hat, sigma, p):
@@ -333,13 +333,12 @@ class _Screen:
     does no work that grows with M but for the fresh iterate it zero-fills:
     handed the very x_new of the previous step on the plan (`x is
     x_last`), it starts from the compact iterate on C that step kept (any
-    other x it gathers on C), E(y) serves both the test of e and T^T y, T
-    on C takes its GEMM without probing for zero columns (C holds the units
-    in use and those nearest to it), and the norms of x_new and of its move
-    come from C's entries. The first step with e >= delta is a refresh
-    again. A refresh is a full step only where no plan forms: when C would
-    hold all units or exceed SCREEN_MAX_SHARE of the columns. l2sq zeroes
-    no weight and is never screened.
+    other x it gathers on C), E(y) serves both the test of e and T^T y, and
+    the norms of x_new and of its move come from C's entries. The first
+    step with e >= delta is a refresh again. A refresh is a full step only
+    where no plan forms: when C would hold all units or exceed
+    SCREEN_MAX_SHARE of the columns. l2sq zeroes no weight and is never
+    screened. No other code restricts T or T^T to columns.
     """
 
     def __init__(self, dataset, spec, tau, sigma):
@@ -418,7 +417,7 @@ class _Screen:
         xc = self.xc if x is self.x_last else x.take(plan.flat).reshape(x.shape[0], -1)
         xc_new = prox_regularizer_aug(_forward(xc, v, self.tau), plan.spec, self.tau,
                                       out=self.spare)
-        y_hat = _dual_ascent(y, self.sigma, 2.0 * xc_new - xc, plan.dataset, gather=False)
+        y_hat = _dual_ascent(y, self.sigma, 2.0 * xc_new - xc, plan.dataset)
         # x and x_new are zero off C, so their norms are those of C's
         # entries (the loop's sums over every entry, less the zeros)
         d = xc_new - xc

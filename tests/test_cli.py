@@ -1322,6 +1322,20 @@ def test_a_label_beyond_int64_is_one_error_line_naming_its_line(tmp_path, capsys
         "", f"error: {data}:2: label 99999999999999999999999 does not fit a 64-bit integer\n")
 
 
+@pytest.mark.parametrize("fmt, text", [("csv", "1,1\n9223372036854775807,2\n"),
+                                       ("svmlight", "1 1:1\n9223372036854775807 1:2\n")],
+                         ids=["csv", "svmlight"])
+def test_a_label_setting_unaddressable_classes_names_its_line(tmp_path, capsys, fmt, text):
+    # the label fits int64, but no (K, M+1) float array for K of it can be addressed
+    data = tmp_path / f"d.{fmt}"
+    data.write_text(text)
+    assert main(["train", "--data", str(data), "--format", fmt, "--solver", "fbpd-reg",
+                 "--alpha", "1", "--out", str(tmp_path / "m.model")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {data}:2: label 9223372036854775807 ")
+
+
 def test_an_objective_that_overflows_is_one_error_line(tmp_path, capsys):
     # g = 3 and the hinge sum 6e9 + 2 are finite; lam times the hinge is not
     data, model = tmp_path / "d.csv", tmp_path / "m.model"

@@ -7,8 +7,8 @@ each step written as one numpy expression per line, `T` as
 every iteration and the guard's two entrywise passes on every iterate.
 The solvers compute the same operations in the same order, in place and
 with fewer passes, so their iterates must match it bit for bit, except
-where `T` skips the iterate's zero weight columns or a step runs on the
-screen's columns alone, which sum in another order.
+where a step runs on the screen's columns alone, which sums in another
+order.
 """
 
 import copy
@@ -282,26 +282,6 @@ def test_one_vs_all_matches_the_reference_bitwise(K, M, L, seed, kind, mode, csr
     assert report.final_rel_change == rel
 
 
-def test_sparse_iterates_take_T_over_their_active_columns():
-    # M=2000 puts the iterates, 45-65 nonzero weight columns after the
-    # first few iterations, below the share for which T skips the zero
-    # columns; that sums in another order than the reference's full GEMM,
-    # so the runs agree to rounding, not bit for bit
-    ds = make_synthetic(3, 2000, 30, separation=3.0, seed=0)
-    spec = RegularizerSpec("l1")
-    cfg = SolverConfig(eta=3.0, max_iter=600, rel_tol=1e-12, norm_T=_ref_norm(ds))
-    limit = linop.ACTIVE_COLUMNS_MAX_SHARE * ds.n_features
-    active = []
-    report = solve_constrained_fbpd(
-        ds, spec, cfg, callback=lambda it, x: active.append(np.count_nonzero(x[:, :-1].any(axis=0))))
-    x, _, it, converged, _ = _ref_constrained(ds, spec, 3.0, cfg)
-    assert (report.iterations, report.converged) == (it, converged) == (600, False)
-    assert sum(n <= limit for n in active) >= 590 and max(active) > limit
-    got = report.model.augmented()
-    assert np.linalg.norm(got - x) <= 1e-9 * np.linalg.norm(x)
-    assert report.g_value == pytest.approx(regularizer_value(x, spec), rel=1e-9, abs=0.0)
-
-
 @functools.cache
 def _wide(csr):
     """The M=2000 instance and its reference norm, shared by the cases."""
@@ -434,7 +414,8 @@ def test_the_screen_gathers_an_x_it_did_not_return(kind, mode):
 @pytest.mark.parametrize("solve", [solve_regularized_fbpd, solve_constrained_fbpd])
 def test_no_earlier_iterate_outlives_the_step(monkeypatch, solve):
     # neither the loop nor the screen holds iterate k once step k + 1 is
-    # taken, through screened steps and the full-width steps between them
+    # taken, the start state (iterate 0) included, through screened steps
+    # and the full-width steps between them
     ds, norm = _wide(False)
     spec = RegularizerSpec("l1inf", BlockStructure.contiguous(2000, 2, mode="per-class"))
     cfg = SolverConfig(lam=1.0, eta=3.0, max_iter=400, rel_tol=1e-12, norm_T=norm)
@@ -444,12 +425,21 @@ def test_no_earlier_iterate_outlives_the_step(monkeypatch, solve):
         on_plan.append(None)
         return inner(self, x, y, v)
 
+    def start(step, z0, cfg, callback, inner=solvers._iterate):
+        # the start state goes on through a box emptied by the call, so
+        # this frame holds no reference to it while the loop runs
+        last[:] = [weakref.ref(z0[0])]
+        box = [z0]
+        del z0
+        return inner(step, box.pop(), cfg, callback)
+
     def watch(it, x):
-        assert not last or last[0]() is None, f"iterate {it - 1} is alive at {it}"
+        assert last[0]() is None, f"iterate {it - 1} is alive at {it}"
         last[:] = [weakref.ref(x)]
         seen.append(len(on_plan))
 
     monkeypatch.setattr(solvers._Screen, "_on_plan", count)
+    monkeypatch.setattr(solvers, "_iterate", start)
     report = solve(ds, spec, cfg, callback=watch)
     assert report.iterations == 400
     screened = np.diff(seen, prepend=0) > 0

@@ -311,49 +311,29 @@ def _restricted_case(n_active, K=3, M=2000, L=30, first=False):
 
 
 _M = 2000
-_AT_SHARE = int(linop.ACTIVE_COLUMNS_MAX_SHARE * _M)
+_TENTH = _M // 10
 
 
-# the first cap + 1 columns all nonzero in row 0 settle a dense iterate
-# without the full scan; the first cap columns alone do not
-@pytest.mark.parametrize("count, first", [(0, False), (1, False), (_AT_SHARE, False),
-                                          (_AT_SHARE + 1, False), (_AT_SHARE, True),
-                                          (_AT_SHARE + 1, True), (_M, True)],
+# however many weight columns an iterate uses, dense features take the
+# one full GEMM, in its (W @ F^T)^T orientation
+@pytest.mark.parametrize("count, first, zero_first_class",
+                         [(0, False, False), (1, False, False), (_TENTH, False, False),
+                          (_TENTH + 1, False, False), (_TENTH, True, False),
+                          (_TENTH + 1, True, False), (_M, True, False), (_M, True, True)],
                          ids=["none", "one", "at-share", "above-share", "first-at-share",
-                              "first-above-share", "dense"])
-def test_T_over_the_active_columns_matches_the_full_product(count, first):
+                              "first-above-share", "dense", "zero-first-class"])
+def test_T_over_the_active_columns_matches_the_full_product(count, first, zero_first_class):
     ds, x = _restricted_case(count, M=_M, first=first)
-    assert np.flatnonzero(x[:, :-1].any(axis=0)).size == count
+    if zero_first_class:
+        x[0, :-1] = 0.0
+    else:
+        assert np.flatnonzero(x[:, :-1].any(axis=0)).size == count
     scores = ds.features @ x[:, :-1].T + x[:, -1]
     expected = scores - scores[np.arange(ds.n_samples), ds.labels][:, None]
     got = _apply_T_aug(x, ds)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     assert np.all(got[np.arange(ds.n_samples), ds.labels] == 0.0)
-    assert linop._scores_aug(x, ds).flags.c_contiguous
-    if count == 0:
-        # no weight column enters: every score is its class's offset
-        np.testing.assert_array_equal(linop._scores_aug(x, ds),
-                                      np.broadcast_to(x[:, -1], (ds.n_samples, 3)))
-    if count > _AT_SHARE:
-        # above the share the scores are the full GEMM's, bit for bit
-        full = np.add((x[:, :-1] @ ds.features.T).T, x[:, -1], order="C")
-        np.testing.assert_array_equal(linop._scores_aug(x, ds), full)
-
-
-def test_a_dense_iterate_with_a_zero_first_class_takes_the_full_product():
-    ds, x = _restricted_case(_M, M=_M, first=True)
-    x[0, :-1] = 0.0
     full = np.add((x[:, :-1] @ ds.features.T).T, x[:, -1], order="C")
-    np.testing.assert_array_equal(linop._scores_aug(x, ds), full)
-
-
-@pytest.mark.parametrize("count, first", [(5, False), (_AT_SHARE, True)],
-                         ids=["five", "first-at-share"])
-def test_T_below_the_share_never_reads_a_zero_weight_column(count, first):
-    # a full GEMM would turn 0 * nan into nan; over the active columns the
-    # nan column never enters
-    ds, x = _restricted_case(count, M=_M, first=first)
-    feats = ds.dense_features().copy()
-    feats[:, np.flatnonzero(~x[:, :-1].any(axis=0))[::7]] = np.nan
-    with_nan = Dataset(feats, ds.labels, ds.n_classes, ds.margins)
-    np.testing.assert_array_equal(_apply_T_aug(x, with_nan), _apply_T_aug(x, ds))
+    got_scores = linop._scores_aug(x, ds)
+    assert got_scores.flags.c_contiguous
+    np.testing.assert_array_equal(got_scores, full)
